@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.ansatz.efficient_su2 import EfficientSU2
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.program import compile_circuit
 from repro.compiler import clear_plan_cache, compile_plan
 from repro.simulator.statevector import StatevectorSimulator
 from repro.transpiler.basis import translate_to_basis
@@ -43,11 +42,11 @@ def test_recompile_every_run_8q(record_benchmark):
     sim = StatevectorSimulator(QUBITS)
 
     def recompile_and_run():
-        # The pre-refactor hot path: compile_circuit on every invocation.
+        # The pre-refactor hot path: a fresh compile on every invocation.
         total = None
         for _ in range(RUNS):
-            program = compile_circuit(circuit)
-            total = sim.run_program(program, np.empty(0))
+            plan = compile_plan(circuit, cache=False)
+            total = sim.run_plan(plan, np.empty(0))
         return total
 
     state = record_benchmark(
@@ -82,11 +81,11 @@ def test_compile_once_run_many_8q(record_benchmark):
         runs=RUNS,
     )
     assert np.isfinite(state).all()
-    # Cached and recompiled paths agree bit-for-bit on the final state.
-    program = compile_circuit(circuit)
+    # The cached fused plan agrees with an unfused recompile to 1e-12.
+    unfused = compile_plan(circuit, fusion=False, cache=False)
     np.testing.assert_allclose(
         np.asarray(state).reshape(-1),
-        sim.run_program(program, np.empty(0)).reshape(-1),
+        sim.run_plan(unfused, np.empty(0)).reshape(-1),
         atol=1e-12,
         rtol=0.0,
     )

@@ -39,7 +39,7 @@ from repro.compiler.cache import (
     plan_cache_capacity,
     plan_cache_stats,
 )
-from repro.compiler.ir import GatePlan, PlanOp, lower_program
+from repro.compiler.ir import GatePlan, PlanOp, lower_circuit
 from repro.compiler.noise_plan import (
     ChannelOp,
     NoisePlan,
@@ -78,7 +78,7 @@ __all__ = [
     "plan_cache_stats",
     "GatePlan",
     "PlanOp",
-    "lower_program",
+    "lower_circuit",
     "ChannelOp",
     "NoisePlan",
     "compile_noise_plan",

@@ -46,7 +46,7 @@ def compile_plan(
     """Compile a circuit into a (cached, fused) :class:`GatePlan`.
 
     ``parameters`` fixes the theta ordering (defaulting to first-appearance
-    order, like :func:`repro.circuits.program.compile_circuit`). ``fusion``
+    order, see :func:`repro.compiler.ir.lower_circuit`). ``fusion``
     defaults to the ``REPRO_FUSION`` environment switch. ``cache=False``
     bypasses the shared plan cache (the cache key is still computed so the
     returned plan is identifiable).

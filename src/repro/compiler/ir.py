@@ -13,8 +13,9 @@ structure-of-arrays parameter table) plus the SoA table itself:
 Binding a parameter vector is therefore ONE NumPy affine map
 ``angles = coeffs * theta[param_indices] + offsets`` (with a batched
 ``(B, P)`` variant used by :class:`~repro.simulator.batched.
-BatchedStatevectorSimulator`), replacing the per-op Python branch of the
-legacy :class:`~repro.circuits.program.CompiledProgram` path.
+BatchedStatevectorSimulator`). :func:`lower_circuit` is the one place a
+circuit is walked into these arrays; the compiler's ``LowerToPlan`` pass
+calls it.
 
 Plans also remember their *pre-fusion* single-/two-qubit gate counts so
 noise modelling (global-depolarizing survival factors) keeps seeing the
@@ -28,9 +29,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.circuits.gates import stacked_gate_matrices
+from repro.circuits.circuit import QuantumCircuit
+from repro.circuits.gates import GATES, stacked_gate_matrices
 from repro.circuits.parameter import Parameter
-from repro.circuits.program import CompiledProgram
 
 # -- kernel classes -----------------------------------------------------------
 #
@@ -241,13 +242,19 @@ class GatePlan:
         )
 
 
-def lower_program(program: CompiledProgram, *, key: Optional[str] = None) -> GatePlan:
-    """Lower a legacy :class:`CompiledProgram` into an (unfused) plan.
+def lower_circuit(
+    circuit: QuantumCircuit,
+    parameters: Optional[Sequence[Parameter]] = None,
+) -> GatePlan:
+    """Lower a circuit into an (unfused) plan.
 
-    The compiler's lowering pass routes through
-    :func:`repro.circuits.program.compile_circuit` and this function, so
-    there is exactly one circuit-walking implementation in the codebase.
+    ``parameters`` fixes the theta ordering, defaulting to the circuit's
+    first-appearance order; ansatz classes pass their canonical ordering.
+    Barriers are skipped. A parameterized gate must take exactly one
+    (affine) parameter expression — bind multi-parameter gates first.
     """
+    parameters = tuple(circuit.parameters if parameters is None else parameters)
+    index_of = {param: i for i, param in enumerate(parameters)}
     ops: List[PlanOp] = []
     param_indices: List[int] = []
     coeffs: List[float] = []
@@ -255,29 +262,42 @@ def lower_program(program: CompiledProgram, *, key: Optional[str] = None) -> Gat
     slot_gate_names: List[str] = []
     singles = 0
     twos = 0
-    for op in program.ops:
-        if len(op.qubits) == 2:
+    for inst in circuit:
+        if inst.name == "barrier":
+            continue
+        if len(inst.qubits) == 2:
             twos += 1
         else:
             singles += 1
-        if op.matrix is not None:
-            ops.append(PlanOp(op.qubits, matrix=op.matrix))
+        spec = GATES[inst.name]
+        if not inst.is_parameterized:
+            matrix = spec.matrix(tuple(float(p) for p in inst.params))
+            ops.append(PlanOp(inst.qubits, matrix=matrix))
             continue
+        if spec.num_params != 1:
+            raise ValueError(
+                f"parameterized gate {inst.name!r} with {spec.num_params} params "
+                "is not supported in gate plans; bind it first"
+            )
+        expr = inst.params[0]
+        if expr.parameter not in index_of:
+            raise KeyError(
+                f"parameter {expr.parameter.name!r} missing from parameter ordering"
+            )
         slot = len(param_indices)
-        param_indices.append(op.param_index)
-        coeffs.append(op.coeff)
-        offsets.append(op.offset)
-        slot_gate_names.append(op.gate_name)
-        ops.append(PlanOp(op.qubits, gate_name=op.gate_name, slot=slot))
+        param_indices.append(index_of[expr.parameter])
+        coeffs.append(expr.coeff)
+        offsets.append(expr.offset)
+        slot_gate_names.append(inst.name)
+        ops.append(PlanOp(inst.qubits, gate_name=inst.name, slot=slot))
     return GatePlan(
-        program.num_qubits,
+        circuit.num_qubits,
         ops,
-        program.parameters,
+        parameters,
         np.asarray(param_indices, dtype=np.intp),
         np.asarray(coeffs, dtype=float),
         np.asarray(offsets, dtype=float),
         tuple(slot_gate_names),
         source_gate_counts=(singles, twos),
         fused=False,
-        key=key,
     )

@@ -31,8 +31,7 @@ import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.parameter import Parameter
-from repro.circuits.program import compile_circuit
-from repro.compiler.ir import GatePlan, PlanOp, lower_program
+from repro.compiler.ir import GatePlan, PlanOp, lower_circuit
 from repro.obs import METRICS, TRACER
 from repro.transpiler.basis import translate_to_basis
 from repro.transpiler.layout import (
@@ -236,8 +235,7 @@ class LowerToPlan(Pass):
     name = "lower"
 
     def run(self, unit: CompilationUnit) -> CompilationUnit:
-        program = compile_circuit(unit.circuit, unit.parameters)
-        unit.plan = lower_program(program)
+        unit.plan = lower_circuit(unit.circuit, unit.parameters)
         return unit
 
 

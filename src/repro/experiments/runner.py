@@ -113,7 +113,7 @@ def run_comparison(
     one-app plan and executes it on ``executor`` (default: environment
     selected via ``REPRO_EXECUTOR``/``REPRO_CACHE_DIR``).
     """
-    from repro.runtime import ExperimentPlan, default_executor, resolve_app
+    from repro.runtime import ExperimentPlan, executor_for, resolve_app
 
     overrides = dict(scheme_kwargs)
     if theta0 is not None:
@@ -124,7 +124,7 @@ def run_comparison(
         app, schemes, iterations,
         seed=seed, shots=shots, trace_scale=trace_scale, overrides=overrides,
     )
-    outcome = (executor or default_executor()).run_plan(plan)
+    outcome = (executor or executor_for()).run_plan(plan)
     return outcome.comparison(resolve_app(app).name)
 
 

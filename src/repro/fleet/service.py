@@ -116,7 +116,7 @@ class FleetService:
 
         Called at the end of every drain (and on close), so the rollup is
         queryable by ``python -m repro.fleet stats`` even for callers that
-        never close the service explicitly (e.g. ``default_executor()``).
+        never close the service explicitly (e.g. ``executor_for()``).
         """
         snapshot = self.telemetry.snapshot()
         delta: Dict[str, Dict[str, int]] = {}

@@ -22,9 +22,9 @@ time only, never results.
 
 :func:`executor_for` is the one place ``REPRO_EXECUTOR``/
 ``REPRO_JOBS``/``REPRO_STORE``/``REPRO_CACHE_DIR``/``REPRO_FLEET_DB``
-resolution lives; :func:`default_executor` is its environment-only
-shorthand, so existing entry points gain parallelism, caching and fleet
-scheduling without signature changes.
+resolution lives; called with no arguments it builds the executor
+purely from the environment, so existing entry points gain parallelism,
+caching and fleet scheduling without signature changes.
 """
 
 from __future__ import annotations
@@ -261,16 +261,8 @@ def executor_for(
     return inner
 
 
-def default_executor(
-    cache_dir: Optional[Union[str, Path]] = None,
-) -> BaseExecutor:
-    """Build an executor purely from the environment (see
-    :func:`executor_for`; ``cache_dir`` wins over the env knobs)."""
-    return executor_for(cache_dir=cache_dir)
-
-
 def run_plan(
     plan: ExperimentPlan, executor: Optional[BaseExecutor] = None
 ) -> PlanResult:
     """Execute a plan on ``executor`` (default: environment-selected)."""
-    return (executor or default_executor()).run_plan(plan)
+    return (executor or executor_for()).run_plan(plan)

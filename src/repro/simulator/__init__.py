@@ -1,8 +1,9 @@
 """Quantum state simulation engines.
 
-Four engines are provided: a statevector simulator (pure states, fast
-path for VQE objective evaluation), its batched sibling (leading batch
-axis over parameter sets), a density-matrix simulator (mixed states,
+Four engines are provided: a batched statevector simulator (pure
+states with a leading batch axis over parameter sets — the fast path for
+VQE objective evaluation), its serial ``B=1`` view, a density-matrix
+simulator (mixed states,
 Kraus noise channels compiled to per-site superoperators; validates the
 energy-level noise approximations of the transient backend), and a
 batched quantum-trajectory simulator (stochastic channel unraveling over

@@ -1,12 +1,12 @@
-"""Batched statevector simulation.
+"""Batched statevector simulation — the one statevector core.
 
-The serial simulator (:mod:`repro.simulator.statevector`) executes one
-parameter vector at a time, so a VQE iteration's SPSA pair, a population
-of seeds, or a sweep of candidate points each pays the full Python
-per-gate dispatch cost. This engine carries a *leading batch axis*
-through every gate application: states are rank-``n+1`` tensors of shape
-``(B, 2, ..., 2)`` and each gate is applied to all ``B`` states in one
-NumPy contraction, amortizing the per-gate overhead across the batch.
+This engine carries a *leading batch axis* through every gate
+application: states are rank-``n+1`` tensors of shape ``(B, 2, ..., 2)``
+and each gate is applied to all ``B`` states in one NumPy contraction, so
+a VQE iteration's SPSA pair, a population of seeds, or a sweep of
+candidate points pays the Python per-gate dispatch cost once. The serial
+:class:`~repro.simulator.statevector.StatevectorSimulator` is the ``B=1``
+view of this core.
 
 Two contraction kinds cover a compiled plan:
 
@@ -18,10 +18,10 @@ Two contraction kinds cover a compiled plan:
   are stacked into ``(B, 2**k, 2**k)``, and contracted with batched
   ``matmul``.
 
-Numerics: the same complex128 arithmetic as the serial path; results
-agree with per-element serial simulation to floating-point
-reassociation (documented contract: ``<= 1e-12`` absolute on amplitudes
-and energies — see ``tests/test_batched_equivalence.py``).
+Numerics: complex128 throughout; every batch row agrees with a per-op
+tensordot walk of the unfused plan to floating-point reassociation
+(documented contract: ``<= 1e-12`` absolute on amplitudes and energies —
+see ``tests/test_batched_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from repro.circuits.gates import (
     STACKED_GATE_BUILDERS as BATCHED_GATE_BUILDERS,
     stacked_gate_matrices as batched_gate_matrices,
 )
-from repro.circuits.program import CompiledProgram
 from repro.compiler import GatePlan, compile_plan
 from repro.obs import TRACER
 from repro.simulator import kernels
@@ -102,15 +101,6 @@ class BatchedStatevectorSimulator:
             (batch,) + (2,) * self.num_qubits
         )
 
-    def _validate_thetas(self, thetas: np.ndarray, num_parameters: int) -> np.ndarray:
-        thetas = np.asarray(thetas, dtype=float)
-        if thetas.ndim != 2 or thetas.shape[1] != num_parameters:
-            raise ValueError(
-                f"expected thetas of shape (B, {num_parameters}), "
-                f"got {thetas.shape}"
-            )
-        return thetas
-
     def run_plan(
         self,
         plan: GatePlan,
@@ -125,9 +115,8 @@ class BatchedStatevectorSimulator:
         """
         if plan.num_qubits != self.num_qubits:
             raise ValueError("plan qubit count mismatch")
-        thetas = self._validate_thetas(thetas, plan.num_parameters)
-        states = self._initial(thetas.shape[0], initial_states)
         angles = plan.bind_angles_batch(thetas)
+        states = self._initial(angles.shape[0], initial_states)
         if kernels.kernel_engine() != ENGINE_TENSORDOT:
             return self._run_plan_pair(plan, angles, states)
         tracer = TRACER
@@ -141,7 +130,7 @@ class BatchedStatevectorSimulator:
             return states
         with tracer.span(
             "sim.batched.run_plan", category="kernel",
-            ops=len(plan.ops), batch=int(thetas.shape[0]),
+            ops=len(plan.ops), batch=int(states.shape[0]),
             state_size=2**plan.num_qubits,
         ):
             for op in plan.ops:
@@ -244,44 +233,19 @@ class BatchedStatevectorSimulator:
                 run()
         return states
 
-    def run_program(
-        self,
-        program: Union[CompiledProgram, GatePlan],
-        thetas: np.ndarray,
-        initial_states: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Run a compiled program (or plan) for a ``(B, P)`` batch.
-
-        Returns the final ``(B,) + (2,) * n`` state tensor batch.
-        """
-        if isinstance(program, GatePlan):
-            return self.run_plan(program, thetas, initial_states)
-        if program.num_qubits != self.num_qubits:
-            raise ValueError("program qubit count mismatch")
-        thetas = self._validate_thetas(thetas, program.num_parameters)
-        states = self._initial(thetas.shape[0], initial_states)
-        for op in program.ops:
-            if op.matrix is not None:
-                states = apply_gate_batched(states, op.matrix, op.qubits)
-            else:
-                angles = op.coeff * thetas[:, op.param_index] + op.offset
-                matrices = batched_gate_matrices(op.gate_name, angles)
-                states = apply_gates_elementwise(states, matrices, op.qubits)
-        return states
-
     def run_flat(
         self,
-        program: Union[CompiledProgram, GatePlan],
+        plan: GatePlan,
         thetas: np.ndarray,
         initial_states: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Like :meth:`run_program` but returns ``(B, 2**n)`` flat vectors."""
-        states = self.run_program(program, thetas, initial_states)
+        """Like :meth:`run_plan` but returns ``(B, 2**n)`` flat vectors."""
+        states = self.run_plan(plan, thetas, initial_states)
         return states.reshape(states.shape[0], -1)
 
 
 def simulate_statevectors(
-    circuit_or_program: Union[QuantumCircuit, CompiledProgram, GatePlan],
+    circuit_or_plan: Union[QuantumCircuit, GatePlan],
     thetas: np.ndarray,
 ) -> np.ndarray:
     """Convenience wrapper: ``(B, P)`` parameters to ``(B, 2**n)`` vectors.
@@ -290,9 +254,7 @@ def simulate_statevectors(
     :func:`repro.simulator.statevector.simulate_statevector`. Circuits
     compile through the shared plan cache.
     """
-    if isinstance(circuit_or_program, (CompiledProgram, GatePlan)):
-        program = circuit_or_program
-    else:
-        program = compile_plan(circuit_or_program)
-    simulator = BatchedStatevectorSimulator(program.num_qubits)
-    return simulator.run_flat(program, np.asarray(thetas, dtype=float))
+    plan = circuit_or_plan
+    if not isinstance(plan, GatePlan):
+        plan = compile_plan(plan)
+    return BatchedStatevectorSimulator(plan.num_qubits).run_flat(plan, thetas)

@@ -1,7 +1,8 @@
 """Gate-application kernel dispatch for every simulation engine.
 
-The four simulators (serial / batched statevector, trajectory, and the
-density-matrix left/right multiplications) route gate application
+The three simulation cores (batched statevector — which the serial
+simulator views at ``B=1`` — trajectory, and the density-matrix
+left/right multiplications) route gate application
 through :func:`apply_gate` / :func:`apply_gates_elementwise` here.
 Dispatch is a table lookup on the op's pre-lowered *kernel class*
 (:mod:`repro.compiler.ir`): diagonal and permutation matrices update the

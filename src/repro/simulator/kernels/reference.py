@@ -5,9 +5,10 @@ axis-restore gate application that ``statevector.py``, ``batched.py``
 and ``trajectory.py`` each used to carry a near-identical copy of.  The
 ``batch_axes`` parameter generalizes over their layouts:
 
-* ``batch_axes=0`` — a rank-``n`` state tensor ``(2,) * n`` (the serial
-  statevector layout; also the density matrix viewed as a ``2n``-qubit
-  state for left/right multiplications);
+* ``batch_axes=0`` — a rank-``n`` state tensor ``(2,) * n`` (a single
+  statevector, as the parity tests' reference walk uses it; also the
+  density matrix viewed as a ``2n``-qubit state for left/right
+  multiplications);
 * ``batch_axes=1`` — a leading batch axis, ``(B,) + (2,) * n`` (the
   batched and trajectory layouts, where qubit ``q`` lives on tensor
   axis ``q + 1``).

@@ -4,62 +4,34 @@ States are stored as rank-``n`` tensors of shape ``(2,) * n`` with qubit 0
 as the *first* tensor axis. Bitstring conventions elsewhere in the library
 print qubit 0 as the leftmost character.
 
-Execution consumes the compiler's :class:`~repro.compiler.GatePlan` IR;
-the legacy :class:`~repro.circuits.program.CompiledProgram` is still
-accepted for backward compatibility. ``run_circuit`` compiles through the
-shared plan cache, so repeated bound-circuit runs are compile-free.
-
-Gate application dispatches through :mod:`repro.simulator.kernels` on the
-ops' pre-lowered kernel classes: the default ``pair`` engine updates the
-state with bit-indexed in-place/ping-pong kernels, while
-``REPRO_KERNEL=tensordot`` preserves the historic reshape + ``tensordot``
-path bit-identically.
+There is one statevector core: :class:`StatevectorSimulator` is a ``B=1``
+view of :class:`~repro.simulator.batched.BatchedStatevectorSimulator`. It
+lifts a single parameter vector to a one-row batch, runs the batched
+plan interpreter (both kernel engines, fusion and tracing live there) and
+returns row 0. ``run_circuit`` compiles through the shared plan cache, so
+repeated bound-circuit runs are compile-free.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.program import CompiledProgram
 from repro.compiler import GatePlan, compile_plan
-from repro.obs import TRACER
-from repro.simulator import kernels
-from repro.simulator.kernels import ENGINE_TENSORDOT, PendingOneQubitGates
-
-
-def apply_gate(
-    state: np.ndarray, matrix: np.ndarray, qubits: Tuple[int, ...]
-) -> np.ndarray:
-    """Apply a k-qubit gate matrix via the shared tensordot reference.
-
-    Returns the (possibly new) state tensor; callers must use the return
-    value because ``moveaxis`` produces views/copies.
-    """
-    return kernels.apply_gate_tensordot(state, matrix, qubits)
+from repro.simulator.batched import BatchedStatevectorSimulator
 
 
 class StatevectorSimulator:
-    """Executes gate plans / compiled programs / circuits on pure states."""
+    """Executes gate plans / circuits on one pure state."""
 
     def __init__(self, num_qubits: int):
-        if num_qubits < 1:
-            raise ValueError("need at least one qubit")
+        self._core = BatchedStatevectorSimulator(num_qubits)
         self.num_qubits = num_qubits
 
     def zero_state(self) -> np.ndarray:
-        state = np.zeros((2,) * self.num_qubits, dtype=complex)
-        state[(0,) * self.num_qubits] = 1.0
-        return state
-
-    def _initial(self, initial_state: Optional[np.ndarray]) -> np.ndarray:
-        if initial_state is None:
-            return self.zero_state()
-        return np.array(initial_state, dtype=complex).reshape(
-            (2,) * self.num_qubits
-        )
+        return self._core.zero_states(1)[0]
 
     def run_plan(
         self,
@@ -67,116 +39,13 @@ class StatevectorSimulator:
         theta: Sequence[float] = (),
         initial_state: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Run a compiled gate plan and return the final state tensor."""
-        if plan.num_qubits != self.num_qubits:
-            raise ValueError("plan qubit count mismatch")
-        state = self._initial(initial_state)
-        if kernels.kernel_engine() == ENGINE_TENSORDOT:
-            tracer = TRACER
-            if not tracer.enabled:
-                for qubits, matrix in plan.op_matrices(theta):
-                    state = apply_gate(state, matrix, qubits)
-                return state
-            with tracer.span(
-                "sim.statevector.run_plan", category="kernel",
-                ops=len(plan.ops), state_size=2**plan.num_qubits,
-            ):
-                for qubits, matrix in plan.op_matrices(theta):
-                    with tracer.kernel_span(
-                        "kernel.sv.gate", sites=len(qubits), state_size=state.size
-                    ):
-                        state = apply_gate(state, matrix, qubits)
-            return state
-        return self._run_plan_pair(plan, theta, state)
+        """Run a compiled gate plan and return the final state tensor.
 
-    def _run_plan_pair(
-        self, plan: GatePlan, theta: Sequence[float], state: np.ndarray
-    ) -> np.ndarray:
-        """Pair-engine plan execution: ping-pong scratch + lazy 1q merge.
-
-        Consecutive single-qubit ops accumulate per target qubit
-        (:class:`~repro.simulator.kernels.PendingOneQubitGates`) and
-        flush as one kernel call when a multi-qubit op touches their
-        qubit or at plan end.
+        ``theta`` must have shape ``(P,)``; it runs as the single row of a
+        ``(1, P)`` batch, so any other shape raises ``ValueError``.
         """
-        matrices = plan.slot_matrices(plan.bind_angles(theta))
-        scratch = np.empty_like(state)
-        pending = PendingOneQubitGates(plan.num_qubits)
-        tracer = TRACER
-        traced = tracer.enabled
-        span = (
-            tracer.span(
-                "sim.statevector.run_plan", category="kernel",
-                ops=len(plan.ops), state_size=2**plan.num_qubits,
-            )
-            if traced
-            else None
-        )
-
-        def dispatch(matrix, qubits, kernel_class):
-            nonlocal state, scratch
-            out = kernels.apply_gate(
-                state, matrix, qubits, kernel_class=kernel_class,
-                engine="pair", scratch=scratch, in_place=True,
-            )
-            if out is not state:
-                state, scratch = out, state
-
-        def apply(matrix, qubits, kernel_class):
-            if traced:
-                with tracer.kernel_span(
-                    "kernel.sv.gate", sites=len(qubits),
-                    state_size=state.size,
-                ):
-                    dispatch(matrix, qubits, kernel_class)
-            else:
-                dispatch(matrix, qubits, kernel_class)
-
-        window = kernels.fusion_window(apply, state.size)
-
-        def run() -> None:
-            for op in plan.ops:
-                matrix = op.matrix if op.matrix is not None else matrices[op.slot]
-                if len(op.qubits) == 1:
-                    pending.push(op.qubits[0], matrix, op.kernel_class)
-                    continue
-                kernel_class = op.kernel_class
-                if len(op.qubits) == 2:
-                    matrix, kernel_class = kernels.absorb_pending_2q(
-                        pending, matrix, op.qubits, kernel_class
-                    )
-                else:
-                    window.flush()
-                    for qubit in op.qubits:
-                        held = pending.pop(qubit)
-                        if held is not None:
-                            apply(held[0], (qubit,), held[1])
-                window.push(matrix, op.qubits, kernel_class)
-            window.flush()
-            kernels.flush_pending_paired(pending, apply)
-
-        if span is None:
-            run()
-        else:
-            with span:
-                run()
-        return state
-
-    def run_program(
-        self,
-        program: Union[CompiledProgram, GatePlan],
-        theta: Sequence[float],
-        initial_state: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Run a compiled program (or plan) and return the final state."""
-        if isinstance(program, GatePlan):
-            return self.run_plan(program, theta, initial_state)
-        if program.num_qubits != self.num_qubits:
-            raise ValueError("program qubit count mismatch")
-        state = self._initial(initial_state)
-        for qubits, matrix in program.op_matrices(theta):
-            state = apply_gate(state, matrix, qubits)
-        return state
+        thetas = np.asarray(theta, dtype=float)[None]
+        return self._core.run_plan(plan, thetas, initial_state)[0]
 
     def run_circuit(
         self,
@@ -191,24 +60,17 @@ class StatevectorSimulator:
 
 
 def simulate_statevector(
-    circuit_or_program: Union[QuantumCircuit, CompiledProgram, GatePlan],
+    circuit_or_plan: Union[QuantumCircuit, GatePlan],
     theta: Sequence[float] = (),
 ) -> np.ndarray:
     """Convenience wrapper returning the flat statevector of length 2**n.
 
     The flattening uses qubit 0 as the most-significant bit, consistent with
-    the tensor layout. Accepts a circuit (compiled through the plan cache),
-    a :class:`GatePlan`, or a legacy :class:`CompiledProgram`.
+    the tensor layout. Circuits compile through the shared plan cache, so
+    ``theta`` must match the circuit's free parameters (empty for a bound
+    circuit).
     """
-    if isinstance(circuit_or_program, (CompiledProgram, GatePlan)):
-        program = circuit_or_program
-        sim = StatevectorSimulator(program.num_qubits)
-        state = sim.run_program(program, theta)
-    else:
-        circuit = circuit_or_program
-        sim = StatevectorSimulator(circuit.num_qubits)
-        if circuit.num_parameters:
-            state = sim.run_plan(compile_plan(circuit), theta)
-        else:
-            state = sim.run_circuit(circuit)
-    return state.reshape(-1)
+    plan = circuit_or_plan
+    if not isinstance(plan, GatePlan):
+        plan = compile_plan(plan)
+    return StatevectorSimulator(plan.num_qubits).run_plan(plan, theta).reshape(-1)

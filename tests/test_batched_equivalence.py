@@ -19,7 +19,7 @@ from repro.ansatz.real_amplitudes import RealAmplitudes
 from repro.backends.ideal import IdealBackend
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.parameter import Parameter
-from repro.circuits.program import compile_circuit
+from repro.compiler import compile_plan
 from repro.experiments.registry import get_app
 from repro.experiments.schemes import build_vqe
 from repro.hamiltonians.tfim import tfim_hamiltonian
@@ -71,19 +71,30 @@ def random_parameterized_circuit(
 
 
 @pytest.mark.parametrize("num_qubits", [2, 3, 4, 5, 6, 7, 8])
-def test_batched_simulator_matches_serial_on_random_circuits(num_qubits):
+def test_batched_simulator_matches_serial_on_random_circuits(
+    num_qubits, tensordot_walk
+):
+    # The serial simulator is a B=1 view of the batched core, so both are
+    # checked against an independent per-op tensordot walk.
     rng = np.random.default_rng(100 + num_qubits)
     for trial in range(3):
         circuit = random_parameterized_circuit(rng, num_qubits)
-        program = compile_circuit(circuit)
-        thetas = rng.uniform(-np.pi, np.pi, (5, program.num_parameters))
+        plan = compile_plan(circuit)
+        unfused = compile_plan(circuit, fusion=False)
+        thetas = rng.uniform(-np.pi, np.pi, (5, plan.num_parameters))
         serial = StatevectorSimulator(num_qubits)
         batched = BatchedStatevectorSimulator(num_qubits)
-        batch_states = batched.run_flat(program, thetas)
+        batch_states = batched.run_flat(plan, thetas)
         for i, theta in enumerate(thetas):
-            expected = serial.run_program(program, theta).reshape(-1)
+            expected = tensordot_walk(unfused, theta)
             np.testing.assert_allclose(
                 batch_states[i], expected, atol=TOLERANCE, rtol=0.0
+            )
+            np.testing.assert_allclose(
+                serial.run_plan(plan, theta).reshape(-1),
+                expected,
+                atol=TOLERANCE,
+                rtol=0.0,
             )
 
 

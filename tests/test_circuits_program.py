@@ -1,9 +1,11 @@
+"""Circuit lowering contract: symbolic circuits compiled into gate plans."""
+
 import numpy as np
 import pytest
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.parameter import Parameter
-from repro.circuits.program import compile_circuit
+from repro.compiler import compile_plan
 from repro.simulator.statevector import simulate_statevector
 
 
@@ -14,11 +16,11 @@ def test_compiled_matches_bound_circuit():
     qc.ry(theta, 0)
     qc.cx(0, 1)
     qc.rz(phi, 1)
-    program = compile_circuit(qc)
+    plan = compile_plan(qc)
     values = [0.4, -0.9]
-    sv_prog = simulate_statevector(program, values)
+    sv_plan = simulate_statevector(plan, values)
     sv_bound = simulate_statevector(qc.bind(values))
-    assert np.allclose(sv_prog, sv_bound, atol=1e-12)
+    assert np.allclose(sv_plan, sv_bound, atol=1e-12)
 
 
 def test_explicit_parameter_order():
@@ -26,9 +28,9 @@ def test_explicit_parameter_order():
     qc = QuantumCircuit(1)
     qc.ry(a, 0)
     qc.rz(b, 0)
-    program = compile_circuit(qc, parameters=[b, a])
+    plan = compile_plan(qc, parameters=[b, a])
     # values now ordered (b, a)
-    sv = simulate_statevector(program, [0.3, 0.7])
+    sv = simulate_statevector(plan, [0.3, 0.7])
     ref = simulate_statevector(qc.bind({a: 0.7, b: 0.3}))
     assert np.allclose(sv, ref)
 
@@ -37,8 +39,8 @@ def test_affine_expression_compiles():
     theta = Parameter("t")
     qc = QuantumCircuit(1)
     qc.ry(2.0 * theta + 0.5, 0)
-    program = compile_circuit(qc)
-    sv = simulate_statevector(program, [0.25])
+    plan = compile_plan(qc)
+    sv = simulate_statevector(plan, [0.25])
     ref = simulate_statevector(qc.bind({theta: 0.25}))
     assert np.allclose(sv, ref)
 
@@ -47,8 +49,8 @@ def test_barriers_skipped():
     qc = QuantumCircuit(1)
     qc.x(0)
     qc.barrier()
-    program = compile_circuit(qc)
-    assert len(program.ops) == 1
+    plan = compile_plan(qc, fusion=False, cache=False)
+    assert len(plan.ops) == 1
 
 
 def test_missing_parameter_raises():
@@ -56,16 +58,16 @@ def test_missing_parameter_raises():
     qc = QuantumCircuit(1)
     qc.ry(a, 0)
     with pytest.raises(KeyError):
-        compile_circuit(qc, parameters=[b])
+        compile_plan(qc, parameters=[b], cache=False)
 
 
 def test_wrong_theta_shape():
     theta = Parameter("t")
     qc = QuantumCircuit(1)
     qc.ry(theta, 0)
-    program = compile_circuit(qc)
+    plan = compile_plan(qc)
     with pytest.raises(ValueError):
-        program.op_matrices([0.1, 0.2])
+        list(plan.op_matrices([0.1, 0.2]))
 
 
 def test_multi_param_gate_rejected():
@@ -73,4 +75,4 @@ def test_multi_param_gate_rejected():
     t = Parameter("t")
     qc.u(t, 0.0, 0.0, 0)
     with pytest.raises(ValueError):
-        compile_circuit(qc)
+        compile_plan(qc, cache=False)

@@ -2,7 +2,7 @@
 
 Fusion *correctness* (fused vs unfused parity across simulators) lives in
 ``tests/test_compiler_fusion.py``; this module covers the structural
-contracts: lowering equivalence with the legacy ``CompiledProgram`` path,
+contracts: lowering equivalence with per-gate scalar constructors,
 the one-affine-map binding, cache keying/LRU behavior, and the
 ``REPRO_FUSION`` / ``REPRO_PLAN_CACHE`` knobs.
 """
@@ -16,14 +16,13 @@ from repro.ansatz.efficient_su2 import EfficientSU2
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.library import random_circuit
 from repro.circuits.parameter import Parameter
-from repro.circuits.program import compile_circuit
 from repro.compiler import (
     PLAN_CACHE,
     GatePlan,
     clear_plan_cache,
     compile_plan,
     fusion_enabled,
-    lower_program,
+    lower_circuit,
     plan_cache_stats,
 )
 from repro.simulator.statevector import StatevectorSimulator
@@ -53,16 +52,19 @@ def _param_circuit() -> QuantumCircuit:
 
 
 def test_lowering_matches_compiled_program_exactly():
+    # The pipeline's lower pass (fusion off) is exactly lower_circuit.
     qc = _param_circuit()
-    program = compile_circuit(qc)
-    plan = lower_program(program)
+    lowered = lower_circuit(qc)
+    plan = compile_plan(qc, fusion=False, cache=False)
     theta = np.array([0.31, -1.7])
     plan_mats = list(plan.op_matrices(theta))
-    prog_mats = program.op_matrices(theta)
-    assert len(plan_mats) == len(prog_mats)
-    for (q_plan, m_plan), (q_prog, m_prog) in zip(plan_mats, prog_mats):
-        assert q_plan == q_prog
-        np.testing.assert_array_equal(m_plan, m_prog)
+    lowered_mats = list(lowered.op_matrices(theta))
+    assert len(plan_mats) == len(lowered_mats) == len(qc)
+    for (q_plan, m_plan), (q_low, m_low) in zip(plan_mats, lowered_mats):
+        assert q_plan == q_low
+        np.testing.assert_array_equal(m_plan, m_low)
+    np.testing.assert_array_equal(plan.param_indices, lowered.param_indices)
+    assert plan.source_gate_counts == lowered.source_gate_counts
 
 
 def test_plan_records_source_gate_counts():
@@ -119,28 +121,25 @@ def test_bind_angles_validates_shape():
 
 
 def test_compiled_program_op_matrices_still_validates():
-    program = compile_circuit(_param_circuit())
+    plan = lower_circuit(_param_circuit())
     with pytest.raises(ValueError, match="expected 2 parameters"):
-        program.op_matrices(np.zeros(5))
+        list(plan.op_matrices(np.zeros(5)))
 
 
 def test_vectorized_program_matches_scalar_constructors():
-    # The shim's kind-grouped stacked builders must be bit-identical to
-    # the old per-op scalar path.
+    # The kind-grouped stacked builders must be bit-identical to scalar
+    # gate constructors applied to the bound circuit, op by op.
     from repro.circuits.gates import GATES
 
     qc = _param_circuit()
-    program = compile_circuit(qc)
+    plan = lower_circuit(qc)
     theta = np.array([-0.9, 2.2])
-    for op, (qubits, matrix) in zip(program.ops, program.op_matrices(theta)):
-        assert qubits == op.qubits
-        if op.matrix is not None:
-            np.testing.assert_array_equal(matrix, op.matrix)
-        else:
-            angle = op.coeff * theta[op.param_index] + op.offset
-            np.testing.assert_array_equal(
-                matrix, GATES[op.gate_name].matrix((angle,))
-            )
+    bound = qc.bind(theta)
+    for inst, (qubits, matrix) in zip(bound, plan.op_matrices(theta)):
+        assert qubits == inst.qubits
+        np.testing.assert_array_equal(
+            matrix, GATES[inst.name].matrix(tuple(inst.params))
+        )
 
 
 # -- plan cache ------------------------------------------------------------------
@@ -227,7 +226,7 @@ def test_fusion_disabled_produces_unfused_plan(monkeypatch):
     monkeypatch.setenv("REPRO_FUSION", "0")
     unfused = compile_plan(qc, cache=False)
     assert not unfused.fused
-    assert len(unfused.ops) == len(compile_circuit(qc).ops)
+    assert len(unfused.ops) == len(lower_circuit(qc).ops)
     assert len(fused.ops) < len(unfused.ops)
 
 

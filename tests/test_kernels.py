@@ -301,13 +301,15 @@ def _plan_and_theta(num_qubits=6, reps=2):
     return ansatz.plan, theta
 
 
-def test_serial_plan_pair_matches_tensordot(monkeypatch):
+def test_serial_plan_pair_matches_tensordot(monkeypatch, tensordot_walk):
+    # The serial simulator rides the batched core, so the reference is an
+    # independent per-op tensordot walk, checked under both engines.
     plan, theta = _plan_and_theta()
-    monkeypatch.setenv("REPRO_KERNEL", "tensordot")
-    expected = StatevectorSimulator(plan.num_qubits).run_plan(plan, theta)
-    monkeypatch.setenv("REPRO_KERNEL", "pair")
-    got = StatevectorSimulator(plan.num_qubits).run_plan(plan, theta)
-    np.testing.assert_allclose(got, expected, atol=1e-12)
+    expected = tensordot_walk(plan, theta)
+    for engine in ("tensordot", "pair"):
+        monkeypatch.setenv("REPRO_KERNEL", engine)
+        got = StatevectorSimulator(plan.num_qubits).run_plan(plan, theta)
+        np.testing.assert_allclose(got.reshape(-1), expected, atol=1e-12)
 
 
 def test_batched_plan_pair_matches_tensordot(monkeypatch):

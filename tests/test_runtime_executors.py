@@ -18,8 +18,8 @@ from repro.runtime import (
     RunResult,
     RunSpec,
     SerialExecutor,
-    default_executor,
     execute_run,
+    executor_for,
 )
 from repro.runtime.executors import BaseExecutor
 
@@ -170,7 +170,6 @@ def test_cached_executor_shares_existing_store(tmp_path):
 
 
 def test_executor_for_resolution(monkeypatch, tmp_path):
-    from repro.runtime import executor_for
     from repro.store import ExperimentStore
 
     for env in ("REPRO_EXECUTOR", "REPRO_CACHE_DIR", "REPRO_STORE", "REPRO_JOBS"):
@@ -230,22 +229,22 @@ def test_parallel_single_spec_stays_in_process():
 def test_default_executor_env_selection(monkeypatch, tmp_path):
     monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    assert isinstance(default_executor(), SerialExecutor)
+    assert isinstance(executor_for(), SerialExecutor)
 
     monkeypatch.setenv("REPRO_EXECUTOR", "parallel")
     monkeypatch.setenv("REPRO_JOBS", "3")
-    executor = default_executor()
+    executor = executor_for()
     assert isinstance(executor, ParallelExecutor)
     assert executor.max_workers == 3
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    cached = default_executor()
+    cached = executor_for()
     assert isinstance(cached, CachedExecutor)
     assert isinstance(cached.inner, ParallelExecutor)
 
     monkeypatch.setenv("REPRO_EXECUTOR", "bogus")
     with pytest.raises(ValueError):
-        default_executor()
+        executor_for()
 
 
 def test_default_executor_fleet_selection(monkeypatch, tmp_path):
@@ -255,7 +254,7 @@ def test_default_executor_fleet_selection(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_EXECUTOR", "fleet")
     monkeypatch.setenv("REPRO_FLEET_DB", str(tmp_path / "fleet.db"))
     monkeypatch.setenv("REPRO_FLEET_MACHINES", "toronto,guadalupe")
-    executor = default_executor()
+    executor = executor_for()
     try:
         assert isinstance(executor, FleetExecutor)
         assert executor.store.path == str(tmp_path / "fleet.db")
@@ -265,7 +264,7 @@ def test_default_executor_fleet_selection(monkeypatch, tmp_path):
 
     # REPRO_CACHE_DIR composes: disk cache in front of the fleet.
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    cached = default_executor()
+    cached = executor_for()
     try:
         assert isinstance(cached, CachedExecutor)
         assert isinstance(cached.inner, FleetExecutor)

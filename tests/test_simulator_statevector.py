@@ -4,9 +4,9 @@ import pytest
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import gate_matrix
 from repro.circuits.library import random_circuit
+from repro.simulator.kernels import apply_gate_tensordot
 from repro.simulator.statevector import (
     StatevectorSimulator,
-    apply_gate,
     simulate_statevector,
 )
 
@@ -73,8 +73,8 @@ def test_apply_gate_two_qubit_ordering():
     # CX with control 1, target 0 on |01> (q0=0, q1=1) -> |11>
     sim = StatevectorSimulator(2)
     state = sim.zero_state()
-    state = apply_gate(state, gate_matrix("x"), (1,))
-    state = apply_gate(state, gate_matrix("cx"), (1, 0))
+    state = apply_gate_tensordot(state, gate_matrix("x"), (1,))
+    state = apply_gate_tensordot(state, gate_matrix("cx"), (1, 0))
     flat = state.reshape(-1)
     assert abs(flat[0b11]) == pytest.approx(1.0)
 
@@ -87,6 +87,9 @@ def test_unbound_circuit_rejected():
     sim = StatevectorSimulator(1)
     with pytest.raises(ValueError):
         sim.run_circuit(qc)
+    # The converse mismatch: a stray theta on a bound circuit.
+    with pytest.raises(ValueError):
+        simulate_statevector(qc.bind([0.3]), theta=[1.0, 2.0])
 
 
 def test_initial_state_respected():
