@@ -23,11 +23,7 @@ from repro.simulator.kernels import (
     kernel_engine,
 )
 from repro.simulator.statevector import StatevectorSimulator, simulate_statevector
-from repro.simulator.batched import (
-    BatchedStatevectorSimulator,
-    apply_gate_batched,
-    simulate_statevectors,
-)
+from repro.simulator.batched import BatchedStatevectorSimulator, simulate_statevectors
 from repro.simulator.density_matrix import DensityMatrixSimulator
 from repro.simulator.trajectory import TrajectorySimulator, unravel_channel_batched
 from repro.simulator.sampling import (
@@ -51,7 +47,6 @@ __all__ = [
     "StatevectorSimulator",
     "simulate_statevector",
     "BatchedStatevectorSimulator",
-    "apply_gate_batched",
     "simulate_statevectors",
     "DensityMatrixSimulator",
     "TrajectorySimulator",

@@ -26,7 +26,7 @@ see ``tests/test_batched_equivalence.py``).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -38,38 +38,19 @@ from repro.circuits.gates import (
 from repro.compiler import GatePlan, compile_plan
 from repro.obs import TRACER
 from repro.simulator import kernels
-from repro.simulator.kernels import ENGINE_TENSORDOT, PendingOneQubitGates
+from repro.simulator.kernels import (
+    ENGINE_TENSORDOT,
+    PendingOneQubitGates,
+    apply_gate_tensordot,
+    apply_gates_elementwise_reference,
+)
 
 __all__ = [
     "BATCHED_GATE_BUILDERS",
     "BatchedStatevectorSimulator",
-    "apply_gate_batched",
-    "apply_gates_elementwise",
     "batched_gate_matrices",
     "simulate_statevectors",
 ]
-
-
-def apply_gate_batched(
-    states: np.ndarray, matrix: np.ndarray, qubits: Tuple[int, ...]
-) -> np.ndarray:
-    """Apply one shared gate matrix to a ``(B, 2, ..., 2)`` state batch.
-
-    The shared tensordot reference with every qubit axis shifted one
-    right to make room for the batch axis.
-    """
-    return kernels.apply_gate_tensordot(states, matrix, qubits, batch_axes=1)
-
-
-def apply_gates_elementwise(
-    states: np.ndarray, matrices: np.ndarray, qubits: Tuple[int, ...]
-) -> np.ndarray:
-    """Apply per-batch-element gate matrices ``(B, 2**k, 2**k)``.
-
-    Used for parameterized gates, where each batch element carries its
-    own angle; delegates to the shared batched-matmul reference.
-    """
-    return kernels.apply_gates_elementwise_reference(states, matrices, qubits)
 
 
 class BatchedStatevectorSimulator:
@@ -119,34 +100,26 @@ class BatchedStatevectorSimulator:
         states = self._initial(angles.shape[0], initial_states)
         if kernels.kernel_engine() != ENGINE_TENSORDOT:
             return self._run_plan_pair(plan, angles, states)
-        tracer = TRACER
-        if not tracer.enabled:
-            for op in plan.ops:
-                if op.matrix is not None:
-                    states = apply_gate_batched(states, op.matrix, op.qubits)
-                else:
-                    matrices = batched_gate_matrices(op.gate_name, angles[:, op.slot])
-                    states = apply_gates_elementwise(states, matrices, op.qubits)
-            return states
-        with tracer.span(
-            "sim.batched.run_plan", category="kernel",
-            ops=len(plan.ops), batch=int(states.shape[0]),
+
+        # The per-op reference loop: the baseline the pair kernels'
+        # speedups are measured against, so it stays unfused.
+        def step(op) -> None:
+            nonlocal states
+            if op.matrix is not None:
+                states = apply_gate_tensordot(
+                    states, op.matrix, op.qubits, batch_axes=1
+                )
+            else:
+                matrices = batched_gate_matrices(op.gate_name, angles[:, op.slot])
+                states = apply_gates_elementwise_reference(
+                    states, matrices, op.qubits
+                )
+
+        kernels.run_ops(
+            plan.ops, step, "sim.batched.run_plan", "kernel.batched.gate",
+            site_size=states.size, batch=int(states.shape[0]),
             state_size=2**plan.num_qubits,
-        ):
-            for op in plan.ops:
-                with tracer.kernel_span(
-                    "kernel.batched.gate", sites=len(op.qubits),
-                    state_size=states.size,
-                ):
-                    if op.matrix is not None:
-                        states = apply_gate_batched(states, op.matrix, op.qubits)
-                    else:
-                        matrices = batched_gate_matrices(
-                            op.gate_name, angles[:, op.slot]
-                        )
-                        states = apply_gates_elementwise(
-                            states, matrices, op.qubits
-                        )
+        )
         return states
 
     def _run_plan_pair(
@@ -160,41 +133,30 @@ class BatchedStatevectorSimulator:
         qubit (``matmul`` broadcasting merges shared into per-element
         products) and flush as one kernel call each.
         """
-        scratch = np.empty_like(states)
+        buffer = kernels.PingPong(states)
         pending = PendingOneQubitGates(plan.num_qubits)
         tracer = TRACER
         traced = tracer.enabled
-        span = (
-            tracer.span(
-                "sim.batched.run_plan", category="kernel",
-                ops=len(plan.ops), batch=int(states.shape[0]),
-                state_size=2**plan.num_qubits,
-            )
-            if traced
-            else None
-        )
 
         def dispatch(matrix, qubits, kernel_class):
-            nonlocal states, scratch
             if matrix.ndim == 3:
                 out = kernels.apply_gates_elementwise(
-                    states, matrix, qubits, kernel_class=kernel_class,
-                    engine="pair", scratch=scratch, in_place=True,
+                    buffer.state, matrix, qubits, kernel_class=kernel_class,
+                    engine="pair", scratch=buffer.scratch, in_place=True,
                 )
             else:
                 out = kernels.apply_gate(
-                    states, matrix, qubits, batch_axes=1,
+                    buffer.state, matrix, qubits, batch_axes=1,
                     kernel_class=kernel_class, engine="pair",
-                    scratch=scratch, in_place=True,
+                    scratch=buffer.scratch, in_place=True,
                 )
-            if out is not states:
-                states, scratch = out, states
+            buffer.take(out)
 
         def apply(matrix, qubits, kernel_class):
             if traced:
                 with tracer.kernel_span(
                     "kernel.batched.gate", sites=len(qubits),
-                    state_size=states.size,
+                    state_size=buffer.state.size,
                 ):
                     dispatch(matrix, qubits, kernel_class)
             else:
@@ -202,7 +164,11 @@ class BatchedStatevectorSimulator:
 
         window = kernels.fusion_window(apply, states.size)
 
-        def run() -> None:
+        with tracer.span(
+            "sim.batched.run_plan", category="kernel",
+            ops=len(plan.ops), batch=int(states.shape[0]),
+            state_size=2**plan.num_qubits,
+        ):
             for op in plan.ops:
                 if op.matrix is not None:
                     matrix = op.matrix
@@ -225,13 +191,7 @@ class BatchedStatevectorSimulator:
                 window.push(matrix, op.qubits, kernel_class)
             window.flush()
             kernels.flush_pending_paired(pending, apply)
-
-        if span is None:
-            run()
-        else:
-            with span:
-                run()
-        return states
+        return buffer.state
 
     def run_flat(
         self,

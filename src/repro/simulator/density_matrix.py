@@ -14,6 +14,19 @@ Kraus operators the channel has (a two-qubit depolarizing channel has 16;
 the historic loop paid 32 full-state contractions per site — it survives
 as :meth:`~DensityMatrixSimulator.apply_kraus_loop`, the parity
 reference).
+
+:meth:`~DensityMatrixSimulator.run_plan` and
+:meth:`~DensityMatrixSimulator.run_noise_plan` are one ``step(op)``
+closure each over a :class:`~repro.simulator.kernels.PingPong` buffer,
+walked by the interpreter the trajectory engine shares
+(:func:`~repro.simulator.kernels.run_ops`). To the kernels the
+rank-``2n`` tensor is a ``2n``-qubit state: a unitary is a ket-axis
+multiply followed by a conjugate bra-axis multiply, a channel site one
+operator on its combined ket/bra axes. The per-op reference methods
+(:meth:`~DensityMatrixSimulator.apply_unitary`,
+:meth:`~DensityMatrixSimulator.apply_superop`,
+:meth:`~DensityMatrixSimulator.apply_kraus`) remain for callers and
+parity tests.
 """
 
 from __future__ import annotations
@@ -25,11 +38,9 @@ import numpy as np
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import GATES
 from repro.compiler import GatePlan, NoisePlan, compile_noise_plan, compile_plan
-from repro.compiler.ir import KERNEL_DIAGONAL
+from repro.compiler.ir import KERNEL_DENSE, KERNEL_DIAGONAL
 from repro.compiler.noise_plan import kraus_superoperator
-from repro.obs import TRACER
 from repro.simulator import kernels
-from repro.simulator.kernels import ENGINE_TENSORDOT
 
 
 class DensityMatrixSimulator:
@@ -61,61 +72,37 @@ class DensityMatrixSimulator:
 
     # -- evolution ---------------------------------------------------------------
 
-    def _apply_operator_left(
-        self, rho: np.ndarray, matrix: np.ndarray, qubits: Tuple[int, ...]
-    ) -> np.ndarray:
-        k = len(qubits)
-        tensor = matrix.reshape((2,) * (2 * k))
-        rho = np.tensordot(tensor, rho, axes=(tuple(range(k, 2 * k)), qubits))
-        return np.moveaxis(rho, tuple(range(k)), qubits)
-
-    def _apply_operator_right(
-        self, rho: np.ndarray, matrix: np.ndarray, qubits: Tuple[int, ...]
-    ) -> np.ndarray:
-        # rho @ M^dagger acting on bra axes.
-        k = len(qubits)
-        bra_axes = tuple(self.num_qubits + q for q in qubits)
-        tensor = matrix.conj().reshape((2,) * (2 * k))
-        rho = np.tensordot(tensor, rho, axes=(tuple(range(k, 2 * k)), bra_axes))
-        return np.moveaxis(rho, tuple(range(k)), bra_axes)
+    def _bra(self, qubits: Tuple[int, ...]) -> Tuple[int, ...]:
+        return tuple(self.num_qubits + q for q in qubits)
 
     def apply_unitary(
         self, rho: np.ndarray, matrix: np.ndarray, qubits: Tuple[int, ...]
     ) -> np.ndarray:
-        rho = self._apply_operator_left(rho, matrix, qubits)
-        return self._apply_operator_right(rho, matrix, qubits)
+        """``U rho U^dagger`` through the tensordot reference kernel."""
+        rho = kernels.apply_gate_tensordot(rho, matrix, qubits)
+        return kernels.apply_gate_tensordot(
+            rho, matrix.conj(), self._bra(qubits)
+        )
 
-    def _apply_unitary_pair(
+    def _conjugate(
         self,
-        rho: np.ndarray,
+        buffer: kernels.PingPong,
         matrix: np.ndarray,
         qubits: Tuple[int, ...],
         kernel_class: Optional[str],
-        scratch: np.ndarray,
         engine: str,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Left/right multiplication through the bit-indexed kernels.
+    ) -> None:
+        """``rho -> U rho U^dagger`` on the buffer through the kernels.
 
-        The rank-``2n`` density tensor is a ``2n``-qubit state to the
-        kernels: the left multiply targets the ket axes ``qubits``, the
-        right multiply applies the conjugate matrix on the bra axes
-        ``n + q`` (conjugation preserves the kernel class).  Returns the
-        updated ``(rho, scratch)`` ping-pong pair.
+        The left multiply targets the ket axes ``qubits``, the right
+        multiply applies the conjugate matrix on the bra axes ``n + q``
+        (conjugation preserves the kernel class).
         """
-        out = kernels.apply_gate(
-            rho, matrix, qubits, kernel_class=kernel_class,
-            engine=engine, scratch=scratch, in_place=True,
+        buffer.apply(matrix, qubits, kernel_class=kernel_class, engine=engine)
+        buffer.apply(
+            matrix.conj(), self._bra(qubits), kernel_class=kernel_class,
+            engine=engine,
         )
-        if out is not rho:
-            rho, scratch = out, rho
-        bra_qubits = tuple(self.num_qubits + q for q in qubits)
-        out = kernels.apply_gate(
-            rho, matrix.conj(), bra_qubits, kernel_class=kernel_class,
-            engine=engine, scratch=scratch, in_place=True,
-        )
-        if out is not rho:
-            rho, scratch = out, rho
-        return rho, scratch
 
     def apply_superop(
         self, rho: np.ndarray, superop: np.ndarray, qubits: Tuple[int, ...]
@@ -127,13 +114,9 @@ class DensityMatrixSimulator:
         ONE tensordot over ``2k`` tensor axes, the same cost shape as a
         ``2k``-qubit gate on a statevector.
         """
-        k = len(qubits)
-        axes = tuple(qubits) + tuple(self.num_qubits + q for q in qubits)
-        tensor = superop.reshape((2,) * (4 * k))
-        rho = np.tensordot(
-            tensor, rho, axes=(tuple(range(2 * k, 4 * k)), axes)
+        return kernels.apply_gate_tensordot(
+            rho, superop, tuple(qubits) + self._bra(qubits)
         )
-        return np.moveaxis(rho, tuple(range(2 * k)), axes)
 
     def apply_kraus(
         self,
@@ -173,8 +156,7 @@ class DensityMatrixSimulator:
         """
         result = None
         for op in kraus_ops:
-            term = self._apply_operator_left(rho, op, qubits)
-            term = self._apply_operator_right(term, op, qubits)
+            term = self.apply_unitary(rho, op, qubits)
             result = term if result is None else result + term
         if result is None:
             raise ValueError("empty Kraus operator list")
@@ -196,51 +178,18 @@ class DensityMatrixSimulator:
             raise ValueError("plan qubit count mismatch")
         rho = self._as_tensor(initial_state)
         engine = kernels.kernel_engine()
-        if engine != ENGINE_TENSORDOT:
-            matrices = plan.slot_matrices(plan.bind_angles(theta))
-            scratch = np.empty_like(rho)
-            tracer = TRACER
-            if not tracer.enabled:
-                for op in plan.ops:
-                    matrix = (
-                        op.matrix if op.matrix is not None else matrices[op.slot]
-                    )
-                    rho, scratch = self._apply_unitary_pair(
-                        rho, matrix, op.qubits, op.kernel_class, scratch, engine
-                    )
-                return rho
-            with tracer.span(
-                "sim.density_matrix.run_plan", category="kernel",
-                ops=len(plan.ops), state_size=4**plan.num_qubits,
-            ):
-                for op in plan.ops:
-                    matrix = (
-                        op.matrix if op.matrix is not None else matrices[op.slot]
-                    )
-                    with tracer.kernel_span(
-                        "kernel.dm.unitary", sites=len(op.qubits),
-                        state_size=rho.size,
-                    ):
-                        rho, scratch = self._apply_unitary_pair(
-                            rho, matrix, op.qubits, op.kernel_class,
-                            scratch, engine,
-                        )
-            return rho
-        tracer = TRACER
-        if not tracer.enabled:
-            for qubits, matrix in plan.op_matrices(theta):
-                rho = self.apply_unitary(rho, matrix, qubits)
-            return rho
-        with tracer.span(
-            "sim.density_matrix.run_plan", category="kernel",
-            ops=len(plan.ops), state_size=4**plan.num_qubits,
-        ):
-            for qubits, matrix in plan.op_matrices(theta):
-                with tracer.kernel_span(
-                    "kernel.dm.unitary", sites=len(qubits), state_size=rho.size
-                ):
-                    rho = self.apply_unitary(rho, matrix, qubits)
-        return rho
+        matrices = plan.slot_matrices(plan.bind_angles(theta))
+        buffer = kernels.PingPong(rho)
+
+        def step(op) -> None:
+            matrix = op.matrix if op.matrix is not None else matrices[op.slot]
+            self._conjugate(buffer, matrix, op.qubits, op.kernel_class, engine)
+
+        kernels.run_ops(
+            plan.ops, step, "sim.density_matrix.run_plan", "kernel.dm.unitary",
+            site_size=rho.size, state_size=4**plan.num_qubits,
+        )
+        return buffer.state
 
     def run_noise_plan(
         self,
@@ -250,116 +199,41 @@ class DensityMatrixSimulator:
         """Execute a channel-aware noise plan.
 
         Unitary ops (pre-fused between channel sites) conjugate the
-        state; channel ops apply their pre-stacked Kraus array through
-        the vectorized :meth:`apply_kraus`.
+        state; channel ops apply their pre-compiled superoperator as one
+        operator on the site's combined ket/bra axes.
         """
         if plan.num_qubits != self.num_qubits:
             raise ValueError("plan qubit count mismatch")
         rho = self._as_tensor(initial_state)
         engine = kernels.kernel_engine()
-        if engine != ENGINE_TENSORDOT:
-            return self._run_noise_plan_pair(plan, rho, engine)
-        tracer = TRACER
-        if not tracer.enabled:
-            for op in plan.ops:
-                if op.matrix is not None:
-                    rho = self.apply_unitary(rho, op.matrix, op.qubits)
-                else:
-                    rho = self.apply_superop(rho, op.superop, op.qubits)
-            return rho
-        with tracer.span(
-            "sim.density_matrix.run_noise_plan", category="kernel",
-            ops=len(plan.ops), state_size=4**plan.num_qubits,
-        ):
-            for op in plan.ops:
-                if op.matrix is not None:
-                    with tracer.kernel_span(
-                        "kernel.dm.unitary", sites=len(op.qubits),
-                        state_size=rho.size,
-                    ):
-                        rho = self.apply_unitary(rho, op.matrix, op.qubits)
-                else:
-                    with tracer.kernel_span(
-                        "kernel.dm.superop", sites=len(op.qubits),
-                        state_size=rho.size,
-                    ):
-                        rho = self.apply_superop(rho, op.superop, op.qubits)
-        return rho
+        buffer = kernels.PingPong(rho)
 
-    def _run_noise_plan_pair(
-        self, plan: NoisePlan, rho: np.ndarray, engine: str
-    ) -> np.ndarray:
-        """Pair-engine noisy execution.
-
-        Unitary sites ride the bit-indexed left/right multiplications;
-        channel sites keep the single-tensordot superoperator contraction
-        — except *diagonal* superoperators (pure-dephasing channels),
-        which apply as one in-place elementwise multiply on the combined
-        ket/bra axes.
-        """
-        scratch = np.empty_like(rho)
-        tracer = TRACER
-        traced = tracer.enabled
-        span = (
-            tracer.span(
-                "sim.density_matrix.run_noise_plan", category="kernel",
-                ops=len(plan.ops), state_size=4**plan.num_qubits,
+        def step(op) -> None:
+            if op.matrix is not None:
+                self._conjugate(
+                    buffer, op.matrix, op.qubits, op.kernel_class, engine
+                )
+                return
+            # Dense superops dispatch as dense-k operators, i.e. the single
+            # tensordot contraction: their ket and bra axes are never
+            # adjacent on a state the pair kernels take. Pure-dephasing
+            # superops are diagonal and multiply in place.
+            buffer.apply(
+                op.superop, tuple(op.qubits) + self._bra(op.qubits),
+                engine=engine,
+                kernel_class=(
+                    KERNEL_DIAGONAL
+                    if op.superop_class == KERNEL_DIAGONAL
+                    else KERNEL_DENSE
+                ),
             )
-            if traced
-            else None
+
+        kernels.run_ops(
+            plan.ops, step, "sim.density_matrix.run_noise_plan",
+            "kernel.dm.unitary", "kernel.dm.superop", site_size=rho.size,
+            state_size=4**plan.num_qubits,
         )
-
-        def superop_site(op) -> None:
-            nonlocal rho, scratch
-            if op.superop_class == KERNEL_DIAGONAL:
-                axes = tuple(op.qubits) + tuple(
-                    self.num_qubits + q for q in op.qubits
-                )
-                out = kernels.apply_gate(
-                    rho, op.superop, axes, kernel_class=KERNEL_DIAGONAL,
-                    engine=engine, scratch=scratch, in_place=True,
-                )
-                if out is not rho:
-                    rho, scratch = out, rho
-            else:
-                rho = self.apply_superop(rho, op.superop, op.qubits)
-                if not rho.flags.c_contiguous:
-                    np.copyto(scratch, rho)
-                    rho, scratch = scratch, rho
-
-        def run() -> None:
-            nonlocal rho, scratch
-            for op in plan.ops:
-                if op.matrix is not None:
-                    if traced:
-                        with tracer.kernel_span(
-                            "kernel.dm.unitary", sites=len(op.qubits),
-                            state_size=rho.size,
-                        ):
-                            rho, scratch = self._apply_unitary_pair(
-                                rho, op.matrix, op.qubits, op.kernel_class,
-                                scratch, engine,
-                            )
-                    else:
-                        rho, scratch = self._apply_unitary_pair(
-                            rho, op.matrix, op.qubits, op.kernel_class,
-                            scratch, engine,
-                        )
-                elif traced:
-                    with tracer.kernel_span(
-                        "kernel.dm.superop", sites=len(op.qubits),
-                        state_size=rho.size,
-                    ):
-                        superop_site(op)
-                else:
-                    superop_site(op)
-
-        if span is None:
-            run()
-        else:
-            with span:
-                run()
-        return rho
+        return buffer.state
 
     def run_circuit(
         self,

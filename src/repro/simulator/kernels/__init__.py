@@ -1,4 +1,4 @@
-"""Gate-application kernel dispatch for every simulation engine.
+"""Gate-application kernel dispatch and the shared plan interpreter.
 
 The three simulation cores (batched statevector — which the serial
 simulator views at ``B=1`` — trajectory, and the density-matrix
@@ -10,14 +10,23 @@ state **in place**, dense 1q/2q gates GEMM into a ping-pong ``scratch``
 buffer, and dense ``k >= 3`` operators fall back to the shared tensordot
 reference.  ``REPRO_KERNEL=tensordot`` routes everything through the
 reference implementation bit-identically to the historic per-simulator
-helpers.
+helpers.  Apart from the batched statevector's per-op reference loop
+(the baseline its pair speedups are measured against), these two
+functions are the only place the engine is chosen.
 
-Call convention for the run loops::
+Call convention for the run loops: the state lives in a
+:class:`PingPong` buffer, whose ``scratch`` twin stays C-contiguous for
+the dense kernels to write into; :meth:`PingPong.take` adopts whatever
+array a kernel (or a channel site) returned as the new state::
 
-    out = apply_gate(state, matrix, qubits, kernel_class=op.kernel_class,
-                     engine=engine, scratch=scratch, in_place=True)
-    if out is not state:
-        state, scratch = out, state
+    buffer = PingPong(state)
+    buffer.apply(matrix, qubits, kernel_class=op.kernel_class, engine=engine)
+    # == buffer.take(apply_gate(buffer.state, matrix, qubits, ...,
+    #                           scratch=buffer.scratch, in_place=True))
+
+The noisy simulators (trajectory, density matrix) express a run as one
+``step(op)`` closure over such a buffer and hand it to :func:`run_ops`,
+which walks the plan and owns the tracing spans.
 
 With ``in_place=False`` (the default, and the public API contract) the
 input array is never mutated: in-place classes copy first, dense classes
@@ -43,6 +52,7 @@ from repro.compiler.ir import (
     kernel_class_of_matrix,
 )
 from repro.obs.metrics import METRICS
+from repro.obs.trace import TRACER
 from repro.simulator.kernels.engine import (
     CHUNK_ENV,
     ENGINE_ENV,
@@ -79,6 +89,7 @@ __all__ = [
     "MAX_FUSED_SPAN",
     "PassthroughWindow",
     "PendingOneQubitGates",
+    "PingPong",
     "fusion_window",
     "THREADS_ENV",
     "absorb_pending_2q",
@@ -91,6 +102,7 @@ __all__ = [
     "kernel_engine",
     "kernel_threads",
     "kron_1q",
+    "run_ops",
 ]
 
 #: States smaller than this many elements route to the tensordot
@@ -108,19 +120,15 @@ def _bump(kernel_class: str, nbytes: float) -> None:
     METRICS.counter(f"kernel.{kernel_class}.bytes").inc(int(nbytes))
 
 
-def _dense_fallback(
-    state: np.ndarray,
-    matrix: np.ndarray,
-    qubits: Tuple[int, ...],
-    batch_axes: int,
-    scratch: Optional[np.ndarray],
-) -> np.ndarray:
-    """Tensordot fallback that keeps the pair loops' ping-pong contiguous."""
-    result = apply_gate_tensordot(state, matrix, qubits, batch_axes)
-    if scratch is not None:
-        np.copyto(scratch, result)
-        return scratch
-    return result
+def _into(scratch: Optional[np.ndarray], result: np.ndarray) -> np.ndarray:
+    """A reference result, copied into ``scratch`` if the caller has one.
+
+    Keeps the run loops' ping-pong state contiguous.
+    """
+    if scratch is None:
+        return result
+    np.copyto(scratch, result)
+    return scratch
 
 
 def apply_gate(
@@ -158,7 +166,9 @@ def apply_gate(
         or matrix.shape[0] != 1 << k
     ):
         _bump(kernel_class, 4 * nbytes)
-        return _dense_fallback(state, matrix, qubits, batch_axes, scratch)
+        return _into(
+            scratch, apply_gate_tensordot(state, matrix, qubits, batch_axes)
+        )
     if kernel_class == KERNEL_DIAGONAL:
         if not in_place:
             state = state.copy()
@@ -199,7 +209,9 @@ def apply_gate(
         _bump(kernel_class, 2 * nbytes)
         return out
     _bump(KERNEL_DENSE, 4 * nbytes)
-    return _dense_fallback(state, matrix, qubits, batch_axes, scratch)
+    return _into(
+        scratch, apply_gate_tensordot(state, matrix, qubits, batch_axes)
+    )
 
 
 def _elementwise_class(matrices: np.ndarray) -> str:
@@ -240,11 +252,9 @@ def apply_gates_elementwise(
     k = len(qubits)
     if not states.flags.c_contiguous or matrices.shape[1] != 1 << k:
         _bump(kernel_class, 4 * nbytes)
-        result = apply_gates_elementwise_reference(states, matrices, qubits)
-        if scratch is not None:
-            np.copyto(scratch, result)
-            return scratch
-        return result
+        return _into(
+            scratch, apply_gates_elementwise_reference(states, matrices, qubits)
+        )
     if kernel_class == KERNEL_DIAGONAL:
         if not in_place:
             states = states.copy()
@@ -289,11 +299,83 @@ def apply_gates_elementwise(
         _bump(kernel_class, 2 * nbytes)
         return out
     _bump(kernel_class, 4 * nbytes)
-    result = apply_gates_elementwise_reference(states, matrices, qubits)
-    if scratch is not None:
-        np.copyto(scratch, result)
-        return scratch
-    return result
+    return _into(
+        scratch, apply_gates_elementwise_reference(states, matrices, qubits)
+    )
+
+
+class PingPong:
+    """A run loop's state array and its same-shape ``scratch`` twin.
+
+    Dense kernels write into ``scratch`` and return it; in-place kernels
+    return ``state`` itself; reference paths and channel sites return a
+    fresh array.  :meth:`take` adopts any of these as the new ``state``
+    and recycles the old one as ``scratch`` — unless it is not
+    C-contiguous, because the pair kernels write through
+    ``scratch.reshape(-1)``, which would then be a copy.
+    """
+
+    __slots__ = ("state", "scratch")
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+        self.scratch = np.empty(state.shape, dtype=state.dtype)
+
+    def take(self, out: np.ndarray) -> None:
+        if out is self.state:
+            return
+        old, self.state = self.state, out
+        if old.flags.c_contiguous:
+            self.scratch = old
+        elif out is self.scratch:
+            self.scratch = np.empty(out.shape, dtype=out.dtype)
+
+    def apply(
+        self, matrix: np.ndarray, qubits: Tuple[int, ...], **kwargs
+    ) -> None:
+        """:func:`apply_gate` on the buffer, in place where the class allows."""
+        self.take(
+            apply_gate(
+                self.state, matrix, qubits, scratch=self.scratch,
+                in_place=True, **kwargs,
+            )
+        )
+
+
+def run_ops(
+    ops,
+    step,
+    span: str,
+    gate_span: str,
+    channel_span: Optional[str] = None,
+    *,
+    site_size: int,
+    **attrs,
+) -> None:
+    """Call ``step(op)`` for every op of a plan, in order.
+
+    The loop runs bare while tracing is off.  Otherwise it opens one
+    ``span`` (category ``kernel``, with ``ops=len(ops)`` and ``attrs``)
+    and a sampled :meth:`~repro.obs.trace.Tracer.kernel_span` per op —
+    ``channel_span`` for ops without a unitary ``matrix`` when given,
+    else ``gate_span`` — carrying the op's ``sites`` and ``site_size``
+    as its ``state_size``.
+    """
+    if not TRACER.enabled:
+        for op in ops:
+            step(op)
+        return
+    with TRACER.span(span, category="kernel", ops=len(ops), **attrs):
+        for op in ops:
+            name = (
+                channel_span
+                if channel_span is not None and op.matrix is None
+                else gate_span
+            )
+            with TRACER.kernel_span(
+                name, sites=len(op.qubits), state_size=site_size
+            ):
+                step(op)
 
 
 class PendingOneQubitGates:

@@ -11,18 +11,19 @@ density-matrix answer as the ensemble grows.
 This engine vectorizes the whole ensemble: a ``(B,) + (2,) * n`` batch of
 trajectory statevectors moves through the same leading-batch-axis kernels
 as :class:`~repro.simulator.batched.BatchedStatevectorSimulator`
-(:func:`~repro.simulator.batched.apply_gate_batched`), and Kraus
-selection is vectorized across the batch — branch probabilities for all
-``B`` trajectories come from one reduced-Gram contraction per channel
+(:func:`~repro.simulator.kernels.apply_gate` with ``batch_axes=1``), and
+Kraus selection is vectorized across the batch — branch probabilities
+for all ``B`` trajectories come from one reduced-Gram contraction per channel
 site, one uniform draw per site serves every trajectory, and the chosen
 operators apply in at most ``K`` grouped batched contractions.
 
 Consumes the same channel-aware
 :class:`~repro.compiler.noise_plan.NoisePlan` IR as the density-matrix
-engine, so fusion between channel sites and unitary absorption benefit
-both execution routes. Select it on the shot-level pipeline with
-``REPRO_NOISY_ENGINE=traj`` (see :class:`~repro.backends.counts.
-CountsBackend`).
+engine, walked by the same interpreter
+(:func:`~repro.simulator.kernels.run_ops`), so fusion between channel
+sites and unitary absorption benefit both execution routes. Select it
+on the shot-level pipeline with ``REPRO_NOISY_ENGINE=traj`` (see
+:class:`~repro.backends.counts.CountsBackend`).
 """
 
 from __future__ import annotations
@@ -33,10 +34,7 @@ import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.compiler import NoisePlan, compile_noise_plan
-from repro.obs import TRACER
 from repro.simulator import kernels
-from repro.simulator.batched import apply_gate_batched
-from repro.simulator.kernels import ENGINE_TENSORDOT
 from repro.utils.rng import SeedLike, ensure_rng
 
 __all__ = ["TrajectorySimulator", "unravel_channel_batched"]
@@ -65,12 +63,11 @@ def unravel_channel_batched(
     apply in at most ``K`` grouped batched contractions with Born
     renormalization.
 
-    Under the default ``pair`` kernel engine the selected branch
-    operators apply through the bit-indexed kernels
+    The selected branch operators apply through
+    :func:`~repro.simulator.kernels.apply_gate` under ``engine``
     (``kraus_classes`` — :attr:`~repro.compiler.noise_plan.ChannelOp.
-    kraus_classes` — spares per-call matrix inspection) and the Born
-    renormalization mutates the collapsed sub-batch in place;
-    ``engine='tensordot'`` preserves the historic expressions exactly.
+    kraus_classes` — spares per-call matrix inspection), and the Born
+    renormalization divides the collapsed sub-batch in place.
     """
     kraus = np.asarray(kraus, dtype=complex)
     num_ops, dim = kraus.shape[0], kraus.shape[1]
@@ -98,22 +95,15 @@ def unravel_channel_batched(
     choices = np.minimum(
         (draws[:, None] >= cdf).sum(axis=1), num_ops - 1
     )
-    if engine is None:
-        engine = kernels.kernel_engine()
     out = np.empty_like(states)
     scale_shape = (-1,) + (1,) * (states.ndim - 1)
     for branch in np.unique(choices):
         index = np.nonzero(choices == branch)[0]
         norms = np.sqrt(probs[index, branch] / totals[index])
-        if engine == ENGINE_TENSORDOT:
-            collapsed = apply_gate_batched(states[index], kraus[branch], qubits)
-            out[index] = collapsed / norms.reshape(scale_shape)
-            continue
         # Fancy indexing already copied the sub-batch, so the kernels may
         # collapse and renormalize it in place before scattering back.
-        sub = states[index]
         collapsed = kernels.apply_gate(
-            sub, kraus[branch], qubits, batch_axes=1,
+            states[index], kraus[branch], qubits, batch_axes=1,
             kernel_class=(
                 kraus_classes[branch] if kraus_classes is not None else None
             ),
@@ -182,106 +172,26 @@ class TrajectorySimulator:
                 (batch,) + (2,) * self.num_qubits
             )
         engine = kernels.kernel_engine()
-        if engine != ENGINE_TENSORDOT:
-            return self._run_noise_plan_pair(plan, states, rng, engine)
-        tracer = TRACER
-        if not tracer.enabled:
-            for op in plan.ops:
-                if op.matrix is not None:
-                    states = apply_gate_batched(states, op.matrix, op.qubits)
-                else:
-                    states = unravel_channel_batched(
-                        states, op.kraus, op.qubits, rng, probes=op.probes,
-                        engine=engine,
-                    )
-            return states
-        with tracer.span(
-            "sim.trajectory.run_noise_plan", category="kernel",
-            ops=len(plan.ops), batch=batch,
-            state_size=2**plan.num_qubits,
-        ):
-            for op in plan.ops:
-                if op.matrix is not None:
-                    with tracer.kernel_span(
-                        "kernel.traj.gate", sites=len(op.qubits),
-                        state_size=states.size,
-                    ):
-                        states = apply_gate_batched(states, op.matrix, op.qubits)
-                else:
-                    with tracer.kernel_span(
-                        "kernel.traj.channel", sites=len(op.qubits),
-                        state_size=states.size,
-                    ):
-                        states = unravel_channel_batched(
-                            states, op.kraus, op.qubits, rng, probes=op.probes,
-                            engine=engine,
-                        )
-        return states
-
-    def _run_noise_plan_pair(
-        self,
-        plan: NoisePlan,
-        states: np.ndarray,
-        rng: np.random.Generator,
-        engine: str,
-    ) -> np.ndarray:
-        """Pair-engine unraveling: unitaries ping-pong through the
-        bit-indexed kernels; channel sites keep the shared vectorized
-        branch selection (and the same one-draw-per-site RNG contract),
-        applying the chosen Kraus operators through the same kernels.
-        """
-        scratch = np.empty_like(states)
-        tracer = TRACER
-        traced = tracer.enabled
-        span = (
-            tracer.span(
-                "sim.trajectory.run_noise_plan", category="kernel",
-                ops=len(plan.ops), batch=int(states.shape[0]),
-                state_size=2**plan.num_qubits,
-            )
-            if traced
-            else None
-        )
+        buffer = kernels.PingPong(states)
 
         def step(op) -> None:
-            nonlocal states, scratch
             if op.matrix is not None:
-                out = kernels.apply_gate(
-                    states, op.matrix, op.qubits, batch_axes=1,
+                buffer.apply(
+                    op.matrix, op.qubits, batch_axes=1,
                     kernel_class=op.kernel_class, engine=engine,
-                    scratch=scratch, in_place=True,
                 )
-                if out is not states:
-                    states, scratch = out, states
             else:
-                states = unravel_channel_batched(
-                    states, op.kraus, op.qubits, rng, probes=op.probes,
+                buffer.take(unravel_channel_batched(
+                    buffer.state, op.kraus, op.qubits, rng, probes=op.probes,
                     kraus_classes=op.kraus_classes, engine=engine,
-                )
+                ))
 
-        def run() -> None:
-            for op in plan.ops:
-                if not traced:
-                    step(op)
-                elif op.matrix is not None:
-                    with tracer.kernel_span(
-                        "kernel.traj.gate", sites=len(op.qubits),
-                        state_size=states.size,
-                    ):
-                        step(op)
-                else:
-                    with tracer.kernel_span(
-                        "kernel.traj.channel", sites=len(op.qubits),
-                        state_size=states.size,
-                    ):
-                        step(op)
-
-        if span is None:
-            run()
-        else:
-            with span:
-                run()
-        return states
+        kernels.run_ops(
+            plan.ops, step, "sim.trajectory.run_noise_plan",
+            "kernel.traj.gate", "kernel.traj.channel", site_size=states.size,
+            batch=batch, state_size=2**plan.num_qubits,
+        )
+        return buffer.state
 
     def run_circuit(
         self,

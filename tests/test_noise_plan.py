@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ansatz.efficient_su2 import EfficientSU2
+from repro.ansatz.real_amplitudes import RealAmplitudes
 from repro.circuits.library import random_circuit
 from repro.compiler import (
     ChannelOp,
@@ -122,14 +123,32 @@ def test_absorb_unitaries_is_semantics_preserving():
     )
 
 
-@pytest.mark.parametrize("overrides", [{}, {"rz": 0.0}])
-def test_fused_noise_plan_parity_with_unfused_walk(overrides):
+def _ra6_circuit():
+    ansatz = RealAmplitudes(6, reps=2)
+    theta = np.random.default_rng(0).uniform(-3, 3, ansatz.num_parameters)
+    return ansatz.bind(theta)
+
+
+@pytest.mark.parametrize(
+    "build,overrides,fusion",
+    [
+        (_native_circuit, {}, None),
+        (_native_circuit, {"rz": 0.0}, None),
+        # 6q reaches the pair kernels' minimum state size: an unfused plan
+        # runs unitaries right after dense superop sites on the same buffer.
+        (_ra6_circuit, {}, False),
+    ],
+    ids=["overrides0", "overrides1", "ra6-unfused"],
+)
+def test_fused_noise_plan_parity_with_unfused_walk(build, overrides, fusion):
     """Channel-aware fusion parity <= 1e-12 vs the per-instruction walk."""
-    circuit = _native_circuit()
+    circuit = build()
     nm = NoiseModel(0.004, 0.03, gate_overrides=overrides)
     dm = DensityMatrixSimulator(circuit.num_qubits)
     walk = dm.run_circuit_walk(circuit, nm)
-    fused = dm.run_noise_plan(compile_noise_plan(circuit, nm, cache=False))
+    fused = dm.run_noise_plan(
+        compile_noise_plan(circuit, nm, fusion=fusion, cache=False)
+    )
     np.testing.assert_allclose(fused, walk, atol=1e-12, rtol=0.0)
 
 

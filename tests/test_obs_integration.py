@@ -17,11 +17,17 @@ import numpy as np
 import pytest
 
 from repro.circuits.circuit import QuantumCircuit
+from collections import Counter
+
+from repro.circuits.library import random_circuit
 from repro.compiler import clear_plan_cache, compile_noise_plan, compile_plan
+from repro.compiler.ir import KERNEL_DENSE, KERNEL_DIAGONAL
 from repro.noise.noise_model import NoiseModel
 from repro.obs import METRICS, TRACER
 from repro.obs.report import build_report
 from repro.runtime import ExperimentPlan, ParallelExecutor, SerialExecutor
+from repro.simulator.density_matrix import DensityMatrixSimulator
+from repro.simulator.trajectory import TrajectorySimulator
 from repro.utils.serialization import canonical_json
 
 PLAN = ExperimentPlan(
@@ -80,6 +86,93 @@ def test_kernel_sampling_rate_never_perturbs_results(traced):
     assert canonical_json(dense[0].result.to_dict()) == canonical_json(
         sparse[0].result.to_dict()
     )
+
+
+# -- the noisy-plan interpreter: spans and kernel counters --------------------
+
+
+def _unfused_noise_plan(model):
+    circuit = random_circuit(3, 14, seed=4)
+    return compile_noise_plan(circuit, model, fusion=False, cache=False)
+
+
+def _names(spans):
+    return Counter(span.name for span in spans)
+
+
+@pytest.mark.parametrize("engine", ["pair", "tensordot"])
+def test_noisy_interpreter_spans_one_run_and_one_site_per_op(
+    traced, monkeypatch, engine
+):
+    monkeypatch.setenv("REPRO_KERNEL", engine)
+    plan = _unfused_noise_plan(NoiseModel(0.01, 0.05))
+    gates = sum(1 for op in plan.ops if op.matrix is not None)
+    channels = len(plan.ops) - gates
+    assert gates and channels
+
+    def run():
+        states = TrajectorySimulator(3).run_noise_plan(
+            plan, 8, rng=np.random.default_rng(5)
+        )
+        return states, DensityMatrixSimulator(3).run_noise_plan(plan)
+
+    traced.configure(enabled=False)
+    plain = run()
+    traced.configure(enabled=True, kernel_stride=1)
+    traced_states, traced_rho = run()
+    assert traced_states.tobytes() == plain[0].tobytes()
+    assert traced_rho.tobytes() == plain[1].tobytes()
+
+    traj, dm = traced.roots
+    assert traj.name == "sim.trajectory.run_noise_plan"
+    assert traj.attrs["batch"] == 8 and traj.attrs["state_size"] == 2**3
+    assert _names(traj.children) == {
+        "kernel.traj.gate": gates, "kernel.traj.channel": channels,
+    }
+    assert dm.name == "sim.density_matrix.run_noise_plan"
+    assert dm.attrs["state_size"] == 4**3
+    assert _names(dm.children) == {
+        "kernel.dm.unitary": gates, "kernel.dm.superop": channels,
+    }
+    for site in dm.children:
+        assert site.attrs["state_size"] == 4**3
+
+
+@pytest.mark.parametrize("engine", ["pair", "tensordot"])
+def test_noisy_interpreter_bumps_kernel_counters_per_site(monkeypatch, engine):
+    monkeypatch.setenv("REPRO_KERNEL", engine)
+
+    def deltas(run):
+        before = METRICS.counters("kernel.")
+        run()
+        after = METRICS.counters("kernel.")
+        return {
+            name: after[name] - before.get(name, 0)
+            for name in after
+            if name.endswith(".calls") and after[name] != before.get(name, 0)
+        }
+
+    ideal = _unfused_noise_plan(NoiseModel.ideal())
+    assert all(op.matrix is not None for op in ideal.ops)
+    expected = Counter(f"kernel.{op.kernel_class}.calls" for op in ideal.ops)
+    got = deltas(
+        lambda: TrajectorySimulator(3).run_noise_plan(
+            ideal, 4, rng=np.random.default_rng(0)
+        )
+    )
+    assert got == expected
+
+    noisy = _unfused_noise_plan(NoiseModel(0.01, 0.05))
+    expected = Counter()
+    for op in noisy.ops:
+        if op.matrix is not None:
+            expected[f"kernel.{op.kernel_class}.calls"] += 2  # ket + bra
+        elif op.superop_class == KERNEL_DIAGONAL:
+            expected[f"kernel.{KERNEL_DIAGONAL}.calls"] += 1
+        else:
+            expected[f"kernel.{KERNEL_DENSE}.calls"] += 1
+    got = deltas(lambda: DensityMatrixSimulator(3).run_noise_plan(noisy))
+    assert got == expected
 
 
 # -- exact cache counters -----------------------------------------------------

@@ -13,12 +13,13 @@ from repro.compiler import compile_plan
 from repro.simulator.batched import (
     BATCHED_GATE_BUILDERS,
     BatchedStatevectorSimulator,
-    apply_gate_batched,
-    apply_gates_elementwise,
     batched_gate_matrices,
     simulate_statevectors,
 )
-from repro.simulator.kernels import apply_gate_tensordot
+from repro.simulator.kernels import (
+    apply_gate_tensordot,
+    apply_gates_elementwise_reference,
+)
 from repro.simulator.statevector import simulate_statevector
 
 
@@ -49,7 +50,7 @@ def test_apply_gate_batched_matches_serial(gate, qubits):
     states = rng.standard_normal((5,) + (2,) * 3) + 1j * rng.standard_normal(
         (5,) + (2,) * 3
     )
-    batched = apply_gate_batched(states, matrix, qubits)
+    batched = apply_gate_tensordot(states, matrix, qubits, batch_axes=1)
     for i in range(5):
         expected = apply_gate_tensordot(states[i], matrix, qubits)
         np.testing.assert_allclose(batched[i], expected, atol=1e-12, rtol=0.0)
@@ -78,7 +79,7 @@ def test_apply_gates_elementwise_matches_per_element():
     )
     angles = np.array([0.3, -1.2, 2.5])
     matrices = batched_gate_matrices("rzz", angles)
-    out = apply_gates_elementwise(states, matrices, (1, 3))
+    out = apply_gates_elementwise_reference(states, matrices, (1, 3))
     for i in range(3):
         expected = apply_gate_tensordot(states[i], matrices[i], (1, 3))
         np.testing.assert_allclose(out[i], expected, atol=1e-12, rtol=0.0)
