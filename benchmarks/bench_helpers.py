@@ -12,9 +12,9 @@ iteration counts.
 Execution: every figure builder routes through the experiment-plan
 runtime (:mod:`repro.runtime`), so the whole suite honors
 ``REPRO_EXECUTOR=parallel`` (fan VQE runs out across cores,
-``REPRO_JOBS`` caps workers) and ``REPRO_CACHE_DIR=<dir>`` (serve
-previously computed runs from disk — rebuilding a figure becomes
-near-instant). Results are bit-identical across executors.
+``REPRO_JOBS`` caps workers) and ``REPRO_STORE=<dir>`` (serve
+previously computed runs from the experiment store in ``<dir>`` —
+rebuilding a figure becomes near-instant). Results are bit-identical across executors.
 """
 
 from __future__ import annotations

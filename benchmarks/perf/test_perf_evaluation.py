@@ -20,10 +20,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ansatz.efficient_su2 import EfficientSU2
-from repro.experiments.registry import get_app
-from repro.experiments.runner import run_comparison
 from repro.hamiltonians.tfim import tfim_hamiltonian
 from repro.optimizers.spsa import SPSA
+from repro.runtime import ExperimentPlan, run_plan
 from repro.vqa.multi_vqe import PopulationVQE
 from repro.vqa.objective import EnergyObjective
 
@@ -121,10 +120,10 @@ def test_population_vqe_24_seeds(record_benchmark):
 
 
 def test_fig17_scale_end_to_end(record_benchmark):
-    app = get_app("App1")
+    plan = ExperimentPlan.single("App1", ("baseline", "qismet"), 25, seed=2023)
 
     def run():
-        return run_comparison(app, ("baseline", "qismet"), iterations=25, seed=2023)
+        return run_plan(plan).comparison("App1")
 
     comparison = record_benchmark(
         "fig17_scale_app1_2schemes_25it",

@@ -9,8 +9,8 @@ from bench_helpers import print_table, run_once
 
 from repro.experiments.config import default_iterations
 from repro.experiments.registry import get_app
-from repro.experiments.runner import ComparisonResult, run_comparison
-from repro.runtime import RunSpec, executor_for
+from repro.experiments.runner import ComparisonResult
+from repro.runtime import ExperimentPlan, RunSpec, executor_for, run_plan
 
 
 def retry_budget_sweep(seed=43, executor=None):
@@ -55,7 +55,8 @@ def test_ablation_retry_budget(benchmark):
 def overhead_accounting(seed=44):
     iterations = default_iterations(600, 200)
     app = get_app("App2")
-    comp = run_comparison(app, ["baseline", "qismet"], iterations=iterations, seed=seed)
+    plan = ExperimentPlan.single(app, ["baseline", "qismet"], iterations, seed=seed)
+    comp = run_plan(plan).comparison(app.name)
     base, qis = comp.results["baseline"], comp.results["qismet"]
     return {
         "baseline_circuits_per_job": base.total_circuits / base.total_jobs,

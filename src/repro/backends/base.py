@@ -7,21 +7,9 @@ therefore exposed to the *same* transient noise instance.
 
 from __future__ import annotations
 
-import os
 from typing import Sequence
 
 import numpy as np
-
-
-def batching_disabled() -> bool:
-    """Whether ``REPRO_BATCH`` disables the batched evaluation fast path.
-
-    ``REPRO_BATCH=0`` (or ``off``/``false``/``serial``) forces every
-    evaluation down the one-call-per-job serial path — the debugging
-    escape hatch for isolating batched-vs-serial numeric differences.
-    """
-    value = os.environ.get("REPRO_BATCH", "").strip().lower()
-    return value in ("0", "off", "false", "serial")
 
 
 class EnergyJob:
@@ -90,7 +78,7 @@ class EnergyBackend:
         order).
         """
         thetas = np.asarray(thetas, dtype=float)
-        if not self.supports_batch or batching_disabled():
+        if not self.supports_batch:
             return np.array(
                 [self.new_job().energy(theta) for theta in thetas], dtype=float
             )

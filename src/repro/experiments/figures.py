@@ -8,7 +8,6 @@ seed and scale with ``REPRO_FULL``.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -18,56 +17,16 @@ from repro.circuits.library import layered_cx_circuit
 from repro.experiments.config import default_iterations
 from repro.experiments.metrics import tail_energy
 from repro.experiments.registry import APPLICATIONS, get_app, machine_app
-from repro.experiments.runner import geomean_improvements, run_comparison
+from repro.experiments.runner import geomean_improvements
 from repro.experiments.schemes import build_vqe
 from repro.noise.noise_model import NoiseModel
 from repro.noise.transient.t1_model import T1FluctuationModel, t1_to_error_fraction
 from repro.noise.transient.trace_generator import profile_for_machine
-from repro.runtime import ExperimentPlan, RunSpec, executor_for
+from repro.runtime import ExperimentPlan, PlanResult, RunSpec, executor_for
 from repro.store.query import RunQuery
-from repro.store.store import ExperimentStore, open_store
 from repro.utils.rng import derive_seed
 from repro.utils.stats import relative_variation
 from repro.vqa.objective import EnergyObjective
-
-
-def _result_store(executor) -> Optional[ExperimentStore]:
-    """The experiment store an executor already writes through, if any."""
-    for attr in ("results", "store"):
-        candidate = getattr(executor, attr, None)
-        if isinstance(candidate, ExperimentStore):
-            return candidate
-    return None
-
-
-@contextmanager
-def _recorded(executor, specs: Sequence[RunSpec]):
-    """Execute ``specs`` and expose them through the store query API.
-
-    Yields ``(store, query)`` after recording the results: in the
-    executor's own store when it has one (``CachedExecutor``/fleet —
-    where they already landed; ``append`` is a dedupe no-op then) or in
-    :func:`repro.store.open_store` otherwise. The figure builders read
-    result data exclusively through this store + :class:`RunQuery` pair.
-    """
-    runs = executor.run(list(specs))
-    store = _result_store(executor)
-    own = store is None
-    if own:
-        store = open_store()
-    store.append_many(runs)
-    try:
-        yield store, RunQuery(run_ids=[spec.run_id for spec in specs])
-    finally:
-        if own:
-            store.close()
-
-
-def _cell(comparisons: Dict, app_name: str):
-    for (name, _seed, _scale), comp in comparisons.items():
-        if name == app_name:
-            return comp
-    raise KeyError(f"no stored runs for app {app_name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +113,10 @@ def fig5_vqa_transient_impact(
     stagnation (expectation at iteration ~20 % vs the end)."""
     iterations = iterations or default_iterations(500, 250)
     app = get_app("App6")
-    comp = run_comparison(
-        app, ["baseline"], iterations=iterations, seed=seed, trace_scale=1.5,
-        executor=executor,
+    plan = ExperimentPlan.single(
+        app, ["baseline"], iterations, seed=seed, trace_scale=1.5
     )
+    comp = (executor or executor_for()).run_plan(plan).comparison(app.name)
     result = comp.results["baseline"]
     energies = result.machine_energies
     early_index = max(1, int(0.2 * len(energies)))
@@ -252,38 +211,44 @@ def machine_run(
 ) -> Dict:
     """Synchronous baseline-vs-QISMET comparison on one machine (Figs. 11/12)."""
     iterations = _machine_iterations(machine, iterations)
-    comp = run_comparison(
-        machine_app(machine), ["baseline", "qismet"],
-        iterations=iterations, seed=seed, executor=executor,
-    )
+    app = machine_app(machine)
+    plan = ExperimentPlan.single(app, ["baseline", "qismet"], iterations, seed=seed)
+    comp = (executor or executor_for()).run_plan(plan).comparison(app.name)
     return _machine_row(machine, iterations, comp)
 
 
-def fig13_machines(
-    seed: int = 17, iterations: Optional[int] = None, executor=None
-) -> Dict:
-    """QISMET improvement across six IBMQ machines + geometric mean.
+def _machine_specs(seed: int, its: Dict[str, int]) -> List[RunSpec]:
+    """The Fig. 13 grid: 6 machines x (baseline, qismet).
 
-    All machines' runs (6 machines x 2 schemes) are expanded up front and
-    handed to one executor call, so a parallel executor fans the whole
-    figure out across cores at once; the per-machine comparisons are then
-    read back through the experiment store's query API.
+    Each machine runs its own iteration count, so the grid is not one
+    cartesian :class:`ExperimentPlan`; it is still handed to a single
+    executor call so a parallel executor or the fleet fans the whole
+    figure out at once.
     """
-    its = {m: _machine_iterations(m, iterations) for m in MACHINE_ITERATIONS}
-    specs = [
+    return [
         RunSpec(app=machine_app(m), scheme=scheme, iterations=its[m], seed=seed)
         for m in MACHINE_ITERATIONS
         for scheme in ("baseline", "qismet")
     ]
-    with _recorded(executor or executor_for(), specs) as (store, query):
-        comparisons = store.comparisons(query)
+
+
+def _machine_rows(outcome: PlanResult, its: Dict[str, int]) -> Dict:
     rows = {
-        m: _machine_row(m, its[m], _cell(comparisons, f"machine:{m}"))
+        m: _machine_row(m, its[m], outcome.comparison(f"machine:{m}"))
         for m in MACHINE_ITERATIONS
     }
     ratios = [row["improvement"] for row in rows.values()]
     geomean = float(np.exp(np.mean(np.log(np.maximum(ratios, 1e-6)))))
     return {"machines": rows, "geomean_improvement": geomean}
+
+
+def fig13_machines(
+    seed: int = 17, iterations: Optional[int] = None, executor=None
+) -> Dict:
+    """QISMET improvement across six IBMQ machines + geometric mean."""
+    its = {m: _machine_iterations(m, iterations) for m in MACHINE_ITERATIONS}
+    runs = (executor or executor_for()).run(_machine_specs(seed, its))
+    return _machine_rows(PlanResult(runs=runs), its)
 
 
 def fig13_fleet(
@@ -307,32 +272,22 @@ def fig13_fleet(
     from repro.fleet import FleetExecutor
 
     its = {m: _machine_iterations(m, iterations) for m in MACHINE_ITERATIONS}
-    specs = [
-        RunSpec(app=machine_app(m), scheme=scheme, iterations=its[m], seed=seed)
-        for m in MACHINE_ITERATIONS
-        for scheme in ("baseline", "qismet")
-    ]
+    specs = _machine_specs(seed, its)
     with FleetExecutor(
         machines=machines, db_path=db_path, seed=fleet_seed
     ) as executor:
-        with _recorded(executor, specs) as (store, query):
-            comparisons = store.comparisons(query)
-            stored = store.query_runs(query)
+        outcome = PlanResult(runs=executor.run(specs))
+        stored = executor.results.query_runs(
+            RunQuery(run_ids=[spec.run_id for spec in specs])
+        )
         telemetry = executor.telemetry.snapshot()
         job_counts = executor.store.counts()
-    rows = {
-        m: _machine_row(m, its[m], _cell(comparisons, f"machine:{m}"))
-        for m in MACHINE_ITERATIONS
-    }
-    ratios = [row["improvement"] for row in rows.values()]
-    geomean = float(np.exp(np.mean(np.log(np.maximum(ratios, 1e-6)))))
     stored_per_device: Dict[str, int] = {}
     for run in stored:
         device = run.device or "-"
         stored_per_device[device] = stored_per_device.get(device, 0) + 1
     return {
-        "machines": rows,
-        "geomean_improvement": geomean,
+        **_machine_rows(outcome, its),
         "fleet": {
             "devices_used": telemetry["devices_used"],
             "total_deferrals": telemetry["total_deferrals"],
@@ -360,13 +315,11 @@ def fig14_spsa_schemes(
     """App2, SPSA optimization schemes vs QISMET (paper Fig. 14)."""
     iterations = iterations or default_iterations(2000, 500)
     app = get_app("App2")
-    comp = run_comparison(
-        app,
-        ("baseline", "qismet", "blocking", "resampling", "2nd-order"),
-        iterations=iterations,
-        seed=seed,
-        executor=executor,
+    plan = ExperimentPlan.single(
+        app, ("baseline", "qismet", "blocking", "resampling", "2nd-order"),
+        iterations, seed=seed,
     )
+    comp = (executor or executor_for()).run_plan(plan).comparison(app.name)
     return {
         "iterations": iterations,
         "improvements": comp.improvements(),
@@ -386,30 +339,21 @@ def fig17_main_results(
 
     Declared as one ``ExperimentPlan`` (apps x schemes) and executed in a
     single fan-out, so ``REPRO_EXECUTOR=parallel`` parallelizes the whole
-    grid and ``REPRO_STORE``/``REPRO_CACHE_DIR`` makes repeated builds
-    near-instant. Per-app improvements and the geomean row are read back
-    through the experiment store's query/aggregate API (bit-identical to
-    regrouping the executor results directly).
+    grid and ``REPRO_STORE`` makes repeated builds near-instant.
     """
     iterations = iterations or default_iterations(2000, 400)
     plan = ExperimentPlan(
         apps=tuple(apps), schemes=tuple(schemes),
         iterations=iterations, seeds=(seed,), name="fig17",
     )
-    with _recorded(executor or executor_for(), plan.expand()) as (
-        store, query,
-    ):
-        store.record_plan(plan)
-        comparisons = store.comparisons(query)
-        geomean = store.aggregate(query)
-    per_app = {
-        app_name: _cell(comparisons, app_name).improvements()
-        for app_name in apps
-    }
+    comparisons = (executor or executor_for()).run_plan(plan).comparisons()
     return {
         "iterations": iterations,
-        "per_app": per_app,
-        "geomean": geomean,
+        "per_app": {
+            app_name: comp.improvements()
+            for (app_name, _seed, _scale), comp in comparisons.items()
+        },
+        "geomean": geomean_improvements(list(comparisons.values())),
     }
 
 
@@ -473,10 +417,9 @@ def fig16_kalman(
     """Kalman hyper-parameter grid vs baseline and QISMET on App6."""
     iterations = iterations or default_iterations(500, 300)
     app = get_app("App6")
-    comp = run_comparison(
-        app, ["baseline", "qismet"], iterations=iterations, seed=seed,
-        executor=executor,
-    )
+    executor = executor or executor_for()
+    plan = ExperimentPlan.single(app, ["baseline", "qismet"], iterations, seed=seed)
+    comp = executor.run_plan(plan).comparison(app.name)
     rows = {
         "baseline": tail_energy(comp.results["baseline"]),
         "qismet": tail_energy(comp.results["qismet"]),
@@ -496,7 +439,7 @@ def fig16_kalman(
         )
         for mv, t in grid
     ]
-    for (mv, t), run in zip(grid, (executor or executor_for()).run(grid_specs)):
+    for (mv, t), run in zip(grid, executor.run(grid_specs)):
         label = f"kalman(MV={mv},T={t})"
         rows[label] = tail_energy(run.result)
         ratios[label] = min(-1e-3, rows[label]) / base_tail

@@ -1,28 +1,29 @@
-"""Experiment runner: scheme comparisons over Table 1 applications.
+"""Scheme comparisons over Table 1 applications: the metrics layer.
 
-This module is the classic, comparison-shaped front door to the
-declarative runtime in :mod:`repro.runtime`: :func:`run_comparison`
-builds a one-app :class:`~repro.runtime.spec.ExperimentPlan` and hands it
-to an executor (serial by default; set ``REPRO_EXECUTOR=parallel`` or
-pass ``executor=`` to fan schemes out across processes, and
-``REPRO_CACHE_DIR`` to reuse previously computed runs). Sweeps larger
-than one app x one seed should build an ``ExperimentPlan`` directly.
+A :class:`ComparisonResult` holds every scheme's outcome on one
+comparison cell (app, seed, trace scale). Comparisons come from
+executing an :class:`~repro.runtime.spec.ExperimentPlan` and regrouping
+its runs::
 
-Seeds are derived per scheme (backend shot-noise streams are
-independent) while the SPSA perturbation sequence is shared across
-schemes, mirroring the paper's synchronous paired-comparison
-methodology — see :mod:`repro.runtime.execute` for the exact contract.
+    plan = ExperimentPlan.single("App1", ["baseline", "qismet"], 300, seed=7)
+    comp = executor_for().run_plan(plan).comparison("App1")
+
+``REPRO_EXECUTOR`` picks the executor and ``REPRO_STORE`` reuses
+previously computed runs. All schemes of one cell share the transient
+trace, starting point and SPSA perturbation sequence, while backend
+shot-noise streams are derived per scheme, mirroring the paper's
+synchronous paired-comparison methodology — see
+:mod:`repro.runtime.execute` for the exact contract.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Sequence
+from typing import Any, Dict, Mapping, Sequence
 
 import numpy as np
 
 from repro.experiments.metrics import expectation_ratio, improvement_rel_baseline
-from repro.experiments.registry import AppConfig
 from repro.vqa.result import VQEResult
 
 
@@ -89,43 +90,6 @@ class ComparisonResult:
                 for name, payload in data.get("results", {}).items()
             },
         )
-
-
-def run_comparison(
-    app: AppConfig,
-    schemes: Sequence[str],
-    iterations: int,
-    seed: int = 2023,
-    shots: int = 8192,
-    trace_scale: float = 1.0,
-    theta0: Optional[np.ndarray] = None,
-    executor=None,
-    **scheme_kwargs,
-) -> ComparisonResult:
-    """Run several schemes on one application under identical conditions.
-
-    All schemes share the application's transient trace (scaled by
-    ``trace_scale``), starting parameters and SPSA perturbation sequence,
-    while backend shot-noise streams are derived per scheme — mirroring
-    the paper's synchronous baseline-vs-QISMET methodology.
-
-    This is a compatibility shim over :mod:`repro.runtime`: it expands a
-    one-app plan and executes it on ``executor`` (default: environment
-    selected via ``REPRO_EXECUTOR``/``REPRO_CACHE_DIR``).
-    """
-    from repro.runtime import ExperimentPlan, executor_for, resolve_app
-
-    overrides = dict(scheme_kwargs)
-    if theta0 is not None:
-        overrides["theta0"] = tuple(
-            float(v) for v in np.asarray(theta0, dtype=float)
-        )
-    plan = ExperimentPlan.single(
-        app, schemes, iterations,
-        seed=seed, shots=shots, trace_scale=trace_scale, overrides=overrides,
-    )
-    outcome = (executor or executor_for()).run_plan(plan)
-    return outcome.comparison(resolve_app(app).name)
 
 
 def geomean_improvements(

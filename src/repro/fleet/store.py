@@ -11,11 +11,12 @@ embedded :class:`~repro.store.ExperimentStore` sharing this store's
 SQLite connection (exposed as :attr:`JobStore.results`), so fleet
 results land in the same content-addressed lakehouse every other cache
 uses — queryable, deduped, and exportable with ``python -m repro.store``
-pointed at the fleet db. Databases written before the store existed
-keep working: a legacy inline ``jobs.result`` payload is read as a
-fallback and backfilled into the store on first access. All timestamps
-are fleet-clock ticks, keeping the store's contents reproducible
-run-over-run.
+pointed at the fleet db. A ``done`` row of a database written before
+the store existed has no stored payload, so :meth:`JobStore.enqueue`
+re-queues it and the deterministic run regenerates the same bytes
+(``python -m repro.store import-legacy`` ingests the old inline
+``jobs.result`` payloads instead). All timestamps are fleet-clock ticks,
+keeping the store's contents reproducible run-over-run.
 
 Crash safety: every transition is journaled (WAL-style, via
 :meth:`~repro.store.ExperimentStore.journal_append` into the shared
@@ -30,7 +31,9 @@ suite drive exactly these windows.
 
 One connection serves all worker threads, guarded by a lock
 (``check_same_thread=False``); SQLite serializes writes anyway, and the
-fleet's write rate is one row per job transition.
+fleet's write rate is one row per job transition. Several services may
+share one database file: inserts are insert-or-keep statements, so two
+connections submitting the same spec cannot race on the primary key.
 """
 
 from __future__ import annotations
@@ -194,19 +197,23 @@ class JobStore:
         with self._lock:
             existing = self._fetch_locked(spec.run_id)
             if existing is None:
-                self._conn.execute(
+                # Another service sharing the file may insert the same
+                # run_id between the read above and this write.
+                inserted = self._conn.execute(
                     "INSERT INTO jobs (run_id, spec, status, submitted_tick)"
-                    " VALUES (?, ?, ?, ?)",
+                    " VALUES (?, ?, ?, ?) ON CONFLICT(run_id) DO NOTHING",
                     (spec.run_id, json.dumps(spec.to_dict()), QUEUED, tick),
-                )
-                self.results.journal_append(
-                    "enqueue", spec.run_id, tick=tick
-                )
+                ).rowcount == 1
+                if inserted:
+                    self.results.journal_append(
+                        "enqueue", spec.run_id, tick=tick
+                    )
+                    return JobRecord(
+                        spec.run_id, spec, QUEUED, submitted_tick=tick
+                    )
                 self._conn.commit()
-                return JobRecord(spec.run_id, spec, QUEUED, submitted_tick=tick)
-            if existing.status == DONE and not self._payload_available_locked(
-                spec.run_id
-            ):
+                existing = self._fetch_locked(spec.run_id)
+            if existing.status == DONE and self.results.get(spec.run_id) is None:
                 self._requeue_locked(
                     spec.run_id, tick, event="heal", attempts=existing.attempts
                 )
@@ -217,20 +224,6 @@ class JobStore:
                 )
                 return self._fetch_locked(spec.run_id)
             return existing
-
-    def _payload_available_locked(self, run_id: str) -> bool:
-        """Whether a ``done`` job's payload can actually be served.
-
-        Checks the embedded store (which drops hash-mismatched blobs as
-        misses) and falls back to the legacy inline column; a ``done``
-        row failing both is unservable and should self-heal.
-        """
-        if self.results.get(run_id) is not None:
-            return True
-        row = self._conn.execute(
-            "SELECT result FROM jobs WHERE run_id=?", (run_id,)
-        ).fetchone()
-        return row is not None and row["result"] is not None
 
     def _requeue_locked(
         self, run_id: str, tick: int, event: str, attempts: int
@@ -423,32 +416,16 @@ class JobStore:
             return self._fetch_locked(run_id)
 
     def result(self, run_id: str) -> Optional[RunResult]:
-        """The stored ``RunResult`` of a done job (else ``None``).
-
-        Payloads come from the embedded experiment store; a pre-store
-        database's inline ``jobs.result`` JSON is honored as a fallback
-        and backfilled so the next read hits the store.
-        """
+        """The stored ``RunResult`` of a done job (else ``None``)."""
         with self._lock:
             row = self._conn.execute(
-                "SELECT result, device FROM jobs WHERE run_id=? AND status=?",
+                "SELECT 1 FROM jobs WHERE run_id=? AND status=?",
                 (run_id, DONE),
             ).fetchone()
-            if row is None:
-                return None
-            stored = self.results.get(run_id)
+            stored = None if row is None else self.results.get(run_id)
             if stored is not None:
                 stored.from_cache = False
-                return stored
-            if row["result"] is None:
-                return None
-            legacy = RunResult.from_dict(json.loads(row["result"]))
-            self.results.append(legacy, device=row["device"], source="fleet")
-            self._conn.execute(
-                "UPDATE jobs SET result=NULL WHERE run_id=?", (run_id,)
-            )
-            self._conn.commit()
-            return legacy
+            return stored
 
     def jobs(self, status: Optional[str] = None) -> List[JobRecord]:
         if status is not None and status not in STATUSES:

@@ -28,7 +28,7 @@ resampling/2SPSA blocks) reach the backend as one block, and
 batch-capable backends evaluate them in a single vectorized simulator
 pass (see :mod:`repro.simulator.batched`). RNG streams are consumed in
 the serial order, so executor choice *and* batching leave results
-unchanged; ``REPRO_BATCH=0`` forces the serial path for debugging.
+unchanged (``tests/test_batched_equivalence.py`` pins this).
 """
 
 from __future__ import annotations

@@ -13,18 +13,17 @@ time only, never results.
 * :class:`CachedExecutor` — wraps another executor with the experiment
   store (:mod:`repro.store`) keyed by each spec's content-hash
   ``run_id``, so repeated figure builds only pay for specs they have
-  never seen. Legacy per-run JSON cache directories are read (and
-  ingested into the store) transparently.
+  never seen.
 * ``repro.fleet.FleetExecutor`` (selected via ``REPRO_EXECUTOR=fleet``)
   — schedules runs across the simulated IBMQ device fleet with
   transient-aware routing and a persistent job store
   (``REPRO_FLEET_DB``); results remain bit-identical.
 
 :func:`executor_for` is the one place ``REPRO_EXECUTOR``/
-``REPRO_JOBS``/``REPRO_STORE``/``REPRO_CACHE_DIR``/``REPRO_FLEET_DB``
-resolution lives; called with no arguments it builds the executor
-purely from the environment, so existing entry points gain parallelism,
-caching and fleet scheduling without signature changes.
+``REPRO_JOBS``/``REPRO_STORE``/``REPRO_FLEET_DB`` resolution lives;
+called with no arguments it builds the executor purely from the
+environment, so existing entry points gain parallelism, caching and
+fleet scheduling without signature changes.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from repro.runtime.execute import execute_run
 from repro.runtime.results import PlanResult, RunResult
 from repro.runtime.spec import ExperimentPlan, RunSpec
 from repro.store.store import STORE_ENV, ExperimentStore
-from repro.utils.serialization import load_json
 
 
 @runtime_checkable
@@ -118,12 +116,10 @@ class CachedExecutor(BaseExecutor):
     each spec's content-hash ``run_id``. The first argument is either an
     open store (shared with the caller, not closed by this executor) or
     a path: a ``.sqlite``/``.db`` file, or a directory that holds
-    ``store.sqlite``. For directories, per-run ``<run_id>.json`` files
-    from the pre-store cache layout are still honored — a legacy hit is
-    served and ingested into the store, so old cache dirs migrate
-    themselves on use. A stored entry whose embedded spec does not match
+    ``store.sqlite``. A stored entry whose embedded spec does not match
     the requested spec (hash collision or a stale schema) is treated as
-    a miss and overwritten.
+    a miss and overwritten. Pre-store result files are not read here;
+    ``python -m repro.store import-legacy`` ingests them.
     """
 
     def __init__(
@@ -131,17 +127,8 @@ class CachedExecutor(BaseExecutor):
         store: Union[str, Path, ExperimentStore],
         inner: Optional[BaseExecutor] = None,
     ):
-        if isinstance(store, ExperimentStore):
-            self.store = store
-            self.cache_dir: Optional[Path] = None
-            self._owns_store = False
-        else:
-            self.cache_dir = (
-                None if Path(store).suffix in (".sqlite", ".sqlite3", ".db")
-                else Path(store)
-            )
-            self.store = ExperimentStore(store)
-            self._owns_store = True
+        self._owns_store = not isinstance(store, ExperimentStore)
+        self.store = ExperimentStore(store) if self._owns_store else store
         self.inner = inner if inner is not None else SerialExecutor()
         self.hits = 0
         self.misses = 0
@@ -149,11 +136,6 @@ class CachedExecutor(BaseExecutor):
     def close(self) -> None:
         if self._owns_store:
             self.store.close()
-
-    def _legacy_path(self, spec: RunSpec) -> Optional[Path]:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / f"{spec.run_id}.json"
 
     def _load(self, spec: RunSpec) -> Optional[RunResult]:
         try:
@@ -166,26 +148,11 @@ class CachedExecutor(BaseExecutor):
         except DEFAULT_RETRYABLE:
             METRICS.counter("cache.store.faults").inc()
             cached = None
-        if cached is None:
-            cached = self._load_legacy(spec)
-            if cached is not None:
-                # Self-migrating cache dir: serve the legacy file and
-                # ingest it so the next read comes from the store.
-                self.store.append(cached, source="import")
         if cached is None or cached.spec != spec:
             return None
         cached.from_cache = True
         cached.elapsed_s = 0.0
         return cached
-
-    def _load_legacy(self, spec: RunSpec) -> Optional[RunResult]:
-        path = self._legacy_path(spec)
-        if path is None or not path.exists():
-            return None
-        try:
-            return RunResult.from_dict(load_json(path))
-        except (ValueError, KeyError, TypeError):
-            return None
 
     def run(self, specs: Sequence[RunSpec]) -> List[RunResult]:
         specs = list(specs)
@@ -216,7 +183,6 @@ def executor_for(
     kind: Optional[str] = None,
     *,
     store: Optional[Union[str, Path, ExperimentStore]] = None,
-    cache_dir: Optional[Union[str, Path]] = None,
     max_workers: Optional[int] = None,
 ) -> BaseExecutor:
     """The one place executor construction and env resolution live.
@@ -224,10 +190,10 @@ def executor_for(
     ``kind`` is ``'serial'``/``'parallel'``/``'fleet'`` (default: the
     ``REPRO_EXECUTOR`` knob; ``REPRO_JOBS`` caps parallel workers unless
     ``max_workers`` is given; ``REPRO_FLEET_DB``/``REPRO_FLEET_MACHINES``
-    shape the fleet). The caching layer resolves in precedence order
-    ``store`` argument > ``cache_dir`` argument > ``REPRO_STORE`` >
-    ``REPRO_CACHE_DIR``; when any of them names a target, the executor
-    is wrapped in a store-backed :class:`CachedExecutor`.
+    shape the fleet). When the ``store`` argument, else ``REPRO_STORE``,
+    names a store (an open one, a ``.sqlite``/``.db`` file, or a
+    directory holding ``store.sqlite``), the executor is wrapped in a
+    store-backed :class:`CachedExecutor`.
     """
     kind = (
         kind if kind is not None else os.environ.get("REPRO_EXECUTOR", "serial")
@@ -249,15 +215,10 @@ def executor_for(
             f"unknown REPRO_EXECUTOR {kind!r}; "
             "use 'serial', 'parallel' or 'fleet'"
         )
-    target: Optional[Union[str, Path, ExperimentStore]] = store
-    if target is None:
-        target = cache_dir
-    if target is None:
-        target = os.environ.get(STORE_ENV, "").strip() or None
-    if target is None:
-        target = os.environ.get("REPRO_CACHE_DIR", "").strip() or None
-    if target is not None:
-        return CachedExecutor(target, inner=inner)
+    if store is None:
+        store = os.environ.get(STORE_ENV, "").strip() or None
+    if store is not None:
+        return CachedExecutor(store, inner=inner)
     return inner
 
 

@@ -6,18 +6,15 @@ collects the runs of a whole plan and regroups them into the
 :class:`~repro.experiments.runner.ComparisonResult` objects the metrics
 layer consumes. Both round-trip losslessly through plain dicts (and hence
 JSON), which is what lets results cross process boundaries and persist in
-the executor cache.
+the experiment store (:mod:`repro.store`).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.runtime.spec import RunSpec
-from repro.utils.serialization import load_json, save_json
 from repro.vqa.result import VQEResult
 
 
@@ -74,25 +71,6 @@ class RunResult:
             ground_truth=float(data["ground_truth"]),
             elapsed_s=float(data.get("elapsed_s", 0.0)),
         )
-
-    def save(self, path: Union[str, Path]) -> Path:
-        """Deprecated shim: append to an experiment store instead.
-
-        Kept one release for callers that persist single runs as JSON;
-        the emitted file stays byte-compatible with the legacy cache
-        layout (and ``import-legacy`` ingests it).
-        """
-        warnings.warn(
-            "RunResult.save() is deprecated; append to an "
-            "ExperimentStore (repro.store) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return save_json(path, self.to_dict())  # repro: allow-direct-result-dump
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "RunResult":
-        return cls.from_dict(load_json(path))
 
 
 ComparisonKey = Tuple[str, int, float]
@@ -209,22 +187,3 @@ class PlanResult:
             runs=[RunResult.from_dict(r) for r in data.get("runs", [])],
             plan=data.get("plan"),
         )
-
-    def save(self, path: Union[str, Path]) -> Path:
-        """Deprecated shim: export through the experiment store instead
-        (:func:`repro.store.export_plan_result`).
-
-        Kept one release; the emitted JSON is unchanged, so existing
-        consumers of saved plan results keep working.
-        """
-        warnings.warn(
-            "PlanResult.save() is deprecated; record runs in an "
-            "ExperimentStore and use repro.store.export_plan_result()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return save_json(path, self.to_dict())  # repro: allow-direct-result-dump
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "PlanResult":
-        return cls.from_dict(load_json(path))

@@ -298,7 +298,7 @@ class ExperimentPlan:
         overrides: Mapping[str, Any] = (),
         name: str = "",
     ) -> "ExperimentPlan":
-        """A one-app, one-seed plan: the classic ``run_comparison`` shape."""
+        """A one-app, one-seed plan: one paper-style scheme comparison."""
         return cls(
             apps=(app,),
             schemes=tuple(schemes),

@@ -9,7 +9,7 @@ query it with :class:`RunQuery`; maintain it with
 ``python -m repro.store``.
 """
 
-from repro.store.export import export_plan_result, export_runs
+from repro.store.export import export_plan_result
 from repro.store.query import RunQuery, StoredRun
 from repro.store.schema import SCHEMA_VERSION, SchemaError, payload_hash
 from repro.store.store import (
@@ -29,7 +29,6 @@ __all__ = [
     "SchemaError",
     "StoredRun",
     "export_plan_result",
-    "export_runs",
     "open_store",
     "payload_hash",
     "resolve_store_path",

@@ -1,11 +1,10 @@
-"""Store-backed export to the legacy result-file formats.
+"""Store-backed export of a plan's runs as one JSON file.
 
 The one sanctioned place where store contents are written back out as
-JSON files — callers that used to dump ``PlanResult``/``RunResult``
-objects directly (fleet CLI ``--out``, notebooks) now export through
-the store so the file is guaranteed to reflect stored, deduped runs.
-The emitted JSON is byte-compatible with ``PlanResult.save()`` /
-``RunResult`` dicts, so existing consumers keep working.
+JSON (the fleet CLI's ``--export`` flag uses it), so the file is
+guaranteed to reflect stored, deduped runs. The file holds
+``{"plan": ..., "runs": [RunResult.to_dict(), ...]}``, which
+``ExperimentStore.import_legacy`` reads back.
 """
 
 from __future__ import annotations
@@ -27,8 +26,8 @@ def export_plan_result(
     """Write the named runs as a ``PlanResult``-format JSON file.
 
     Runs come back in the order given (the plan's expansion order), not
-    append order, so the file is interchangeable with what
-    ``executor.run_plan(plan).save(path)`` used to produce.
+    append order, so the file matches ``PlanResult.to_dict()`` of the
+    executed plan.
     """
     stored = {
         s.run_id: s for s in store.query_runs(RunQuery(run_ids=tuple(run_ids)))
@@ -39,20 +38,3 @@ def export_plan_result(
     runs = [stored[rid].to_run_result(from_cache=False) for rid in run_ids]
     payload = {"plan": plan, "runs": [run.to_dict() for run in runs]}
     return save_json(path, payload)
-
-
-def export_runs(
-    store: ExperimentStore,
-    query: Optional[RunQuery],
-    directory: Union[str, Path],
-) -> int:
-    """Write matching runs as per-run ``<run_id>.json`` files (the legacy
-    ``CachedExecutor`` cache layout); returns how many were written."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    count = 0
-    for stored in store.query_runs(query):
-        run = stored.to_run_result(from_cache=False)
-        save_json(directory / f"{stored.run_id}.json", run.to_dict())
-        count += 1
-    return count

@@ -33,8 +33,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.faults.inject import INJECTOR
 from repro.obs import METRICS, TRACER
-from repro.runtime.results import RunResult
-from repro.runtime.spec import RunSpec
+from repro.runtime.results import PlanResult, RunResult
 from repro.store.query import RunQuery, StoredRun
 from repro.store.schema import SCHEMA_VERSION, ensure_schema, payload_hash
 from repro.utils.serialization import canonical_json
@@ -58,8 +57,8 @@ def resolve_store_path(path: Union[str, Path]) -> str:
 
     ``:memory:`` passes through; a path with a ``.sqlite``/``.sqlite3``/
     ``.db`` suffix is the database file itself; anything else is treated
-    as a directory holding ``store.sqlite`` (so ``REPRO_STORE`` and
-    ``REPRO_CACHE_DIR`` can both point at a results directory).
+    as a directory holding ``store.sqlite`` (so ``REPRO_STORE`` can
+    point at a results directory).
     """
     if str(path) == ":memory:":
         return ":memory:"
@@ -135,26 +134,14 @@ class ExperimentStore:
         with TRACER.span(
             "store.append", category="store", run_id=run.run_id
         ), self._lock:
-            row = self._conn.execute(
-                "SELECT seq, payload_hash FROM runs WHERE run_id = ?",
-                (run.run_id,),
-            ).fetchone()
-            if row is not None:
-                if self._payload_ok(row["payload_hash"]):
-                    return False
-                self._put_blob(digest, payload)
-                self._conn.execute(
-                    "UPDATE runs SET payload_hash = ? WHERE run_id = ?",
-                    (digest, run.run_id),
-                )
-                self._conn.commit()
-                return True
-            self._put_blob(digest, payload)
-            self._conn.execute(
+            # Insert-or-keep in one statement: a second connection to the
+            # same file cannot slip its row in between a read and a write.
+            inserted = self._conn.execute(
                 "INSERT INTO runs (run_id, app, scheme, seed, shots,"
                 " trace_scale, iterations, device, source, ground_truth,"
                 " elapsed_s, created_at, spec, payload_hash)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
+                " ON CONFLICT(run_id) DO NOTHING",
                 (
                     run.run_id,
                     run.spec.app_name,
@@ -171,7 +158,20 @@ class ExperimentStore:
                     spec_text,
                     digest,
                 ),
-            )
+            ).rowcount == 1
+            if not inserted:
+                row = self._conn.execute(
+                    "SELECT payload_hash FROM runs WHERE run_id = ?",
+                    (run.run_id,),
+                ).fetchone()
+                if self._payload_ok(row["payload_hash"]):
+                    self._conn.commit()
+                    return False
+                self._conn.execute(
+                    "UPDATE runs SET payload_hash = ? WHERE run_id = ?",
+                    (digest, run.run_id),
+                )
+            self._put_blob(digest, payload)
             self._conn.commit()
             return True
 
@@ -419,34 +419,21 @@ class ExperimentStore:
     ]:
         """Regroup matching runs into per-cell scheme comparisons.
 
-        Cells come back in first-append order — except when the query
-        names explicit ``run_ids``, in which case *that* order wins, so
-        regrouping a plan's runs matches ``PlanResult.comparisons()``
-        exactly (down to the float-summation order of the geomean) even
-        on a store that ingested the runs in another order. Like it,
-        refuses to regroup a sweep whose cells repeat a scheme (an
-        overrides sweep) — narrow the query instead.
+        The rows go through :meth:`PlanResult.comparisons`, so cells come
+        back in first-append order — except when the query names explicit
+        ``run_ids``, in which case *that* order wins, so regrouping a
+        plan's runs matches the executed ``PlanResult`` exactly (down to
+        the float-summation order of the geomean) even on a store that
+        ingested the runs in another order. A query whose cells repeat a
+        scheme (an overrides sweep) is refused — narrow the query.
         """
-        from repro.experiments.runner import ComparisonResult
-
         rows = self.query_runs(query)
         if query is not None and query.run_ids:
             position = {rid: i for i, rid in enumerate(query.run_ids)}
             rows.sort(key=lambda s: position[s.run_id])
-        out: Dict[Tuple[str, int, float], ComparisonResult] = {}
-        for stored in rows:
-            key = (stored.app, stored.seed, stored.trace_scale)
-            if key not in out:
-                out[key] = ComparisonResult(
-                    app_name=stored.app, ground_truth=stored.ground_truth
-                )
-            if stored.scheme in out[key].results:
-                raise ValueError(
-                    f"cell {key} has multiple {stored.scheme!r} runs; "
-                    "narrow the query (iterations/shots/overrides differ)"
-                )
-            out[key].results[stored.scheme] = stored.to_run_result().result
-        return out
+        return PlanResult(
+            runs=[stored.to_run_result() for stored in rows]
+        ).comparisons()
 
     def aggregate(
         self,
@@ -647,10 +634,11 @@ class ExperimentStore:
     def import_legacy(self, source: Union[str, Path]) -> Dict[str, int]:
         """Ingest results from the pre-store formats, deduping on run_id.
 
-        Accepts a ``CachedExecutor`` cache directory of per-run JSON
-        files, a saved ``PlanResult``/``RunResult`` JSON file, or a fleet
-        ``JobStore`` database whose legacy ``jobs.result`` column still
-        carries inline payloads.
+        The only reader of those formats: a directory of per-run
+        ``<run_id>.json`` files (the old executor cache layout), a
+        ``PlanResult``/``RunResult`` JSON file, or a fleet ``JobStore``
+        database whose legacy ``jobs.result`` column still carries inline
+        payloads.
         """
         source = Path(source)
         ingested = skipped = errors = 0

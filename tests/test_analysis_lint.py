@@ -586,11 +586,10 @@ def test_parse_error_reported_not_raised():
 
 def test_src_tree_lints_clean():
     """The acceptance gate: zero errors over src/, with exactly the
-    sanctioned suppressions — one in utils/rng.py, the two deprecation
-    shims in runtime/results.py that still write result JSON directly,
-    and the two deliberate swallows in fleet/service.py (best-effort
-    plan-cache warm-up; mark_failed on an already-down store)."""
+    sanctioned suppressions — one in utils/rng.py and the two deliberate
+    swallows in fleet/service.py (best-effort plan-cache warm-up;
+    mark_failed on an already-down store)."""
     report = lint_paths(["src"])
     errors = [d for d in report if d.severity >= Severity.ERROR]
     assert errors == [], "\n".join(d.render() for d in errors)
-    assert report.suppressed == 5
+    assert report.suppressed == 3

@@ -17,6 +17,7 @@ import repro.vqa.objective as objective_module
 from repro.ansatz.efficient_su2 import EfficientSU2
 from repro.ansatz.real_amplitudes import RealAmplitudes
 from repro.backends.ideal import IdealBackend
+from repro.backends.transient import TransientBackend
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.parameter import Parameter
 from repro.compiler import compile_plan
@@ -165,10 +166,9 @@ def test_spsa_batched_run_is_bit_identical_to_serial(monkeypatch):
     """The regression oracle: batching must not change *any* result.
 
     The transient backend consumes seed-derived RNG streams; running the
-    same spec with batching disabled (``REPRO_BATCH=0``) must reproduce
+    same spec with the backend's batch path switched off must reproduce
     the batched run bit-for-bit.
     """
-    monkeypatch.delenv("REPRO_BATCH", raising=False)
     app = get_app("App1")
 
     def run_once():
@@ -188,7 +188,7 @@ def test_spsa_batched_run_is_bit_identical_to_serial(monkeypatch):
         return vqe.run(25, theta0=objective.initial_point(seed=17))
 
     batched = run_once()
-    monkeypatch.setenv("REPRO_BATCH", "0")
+    monkeypatch.setattr(TransientBackend, "supports_batch", False)
     serial = run_once()
 
     assert batched.total_jobs == serial.total_jobs

@@ -9,11 +9,17 @@ from repro.experiments.metrics import (
     tail_energy,
 )
 from repro.experiments.registry import app_names, get_app
-from repro.experiments.runner import geomean_improvements, run_comparison
+from repro.experiments.runner import geomean_improvements
 from repro.experiments.schemes import SCHEME_NAMES, build_vqe
 from repro.noise.noise_model import NoiseModel
+from repro.runtime import ExperimentPlan, run_plan
 from repro.vqa.objective import EnergyObjective
 from repro.vqa.result import IterationRecord, VQEResult
+
+
+def _compare(app_name, schemes, iterations, seed):
+    plan = ExperimentPlan.single(app_name, schemes, iterations, seed=seed)
+    return run_plan(plan).comparison(app_name)
 
 
 def _fake_result(energies):
@@ -132,8 +138,7 @@ def test_default_iterations_scaling(monkeypatch):
 
 
 def test_run_comparison_smoke():
-    app = get_app("App1")
-    comp = run_comparison(app, ["baseline", "qismet"], iterations=40, seed=5)
+    comp = _compare("App1", ["baseline", "qismet"], iterations=40, seed=5)
     assert set(comp.results) == {"baseline", "qismet"}
     ratios = comp.improvements()
     assert ratios["baseline"] == pytest.approx(1.0)
@@ -145,8 +150,7 @@ def test_run_comparison_smoke():
 
 
 def test_run_comparison_schemes_share_start():
-    app = get_app("App1")
-    comp = run_comparison(app, ["baseline", "qismet"], iterations=10, seed=6)
+    comp = _compare("App1", ["baseline", "qismet"], iterations=10, seed=6)
     base = comp.results["baseline"].machine_energies[0]
     qismet = comp.results["qismet"].machine_energies[0]
     # same theta0 and same first-job transient, but independent backend
@@ -210,12 +214,11 @@ def test_build_vqe_trust_radius_defaults_preserved():
 
 
 def test_run_comparison_matches_standalone_spec_execution():
-    """The shim is a thin veneer: a scheme's run inside a comparison is
-    bit-identical to executing that scheme's spec on its own."""
+    """A scheme's run inside a comparison is bit-identical to executing
+    that scheme's spec on its own."""
     from repro.runtime import RunSpec, execute_run
 
-    app = get_app("App1")
-    comp = run_comparison(app, ["baseline", "qismet"], iterations=8, seed=11)
+    comp = _compare("App1", ["baseline", "qismet"], iterations=8, seed=11)
     solo = execute_run(
         RunSpec(app="App1", scheme="qismet", iterations=8, seed=11)
     )

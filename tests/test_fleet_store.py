@@ -51,6 +51,31 @@ def test_enqueue_done_job_is_dedupe_hit():
         assert again.finished_tick == 1
 
 
+def test_enqueue_keeps_row_inserted_by_another_connection(tmp_path):
+    """Two services sharing one database: when the other connection
+    inserts the same run_id between this one's read and its write, the
+    enqueue attaches to that row instead of failing on the primary key."""
+    db = tmp_path / "fleet.db"
+    spec = _spec()
+    with JobStore(db) as first, JobStore(db) as second:
+        fetch = second._fetch_locked
+        raced = []
+
+        def read_then_lose_race(run_id):
+            record = fetch(run_id)
+            if not raced:
+                raced.append(run_id)
+                first.enqueue(spec, tick=1)
+            return record
+
+        second._fetch_locked = read_then_lose_race
+        record = second.enqueue(spec, tick=2)
+        assert raced and record.status == QUEUED
+        assert record.submitted_tick == 1
+        events = [e["event"] for e in second.results.journal_entries(spec.run_id)]
+        assert events == ["enqueue"]
+
+
 def test_enqueue_failed_job_requeues():
     with JobStore() as store:
         spec = _spec()
@@ -142,36 +167,37 @@ def test_result_payload_delegated_to_experiment_store():
         assert row["result"] is None
 
 
-def test_legacy_inline_result_backfilled(tmp_path):
-    """Rows written before the store era (result JSON inline on the jobs
-    table) keep resolving, and the first read migrates them."""
+def test_pre_store_done_row_requeued_and_redrained(tmp_path):
+    """A pre-store database keeps a ``done`` row's payload inline in
+    ``jobs.result`` and has no stored blob. Only ``import-legacy`` reads
+    that column: ``enqueue`` re-queues the row, and a drain regenerates
+    the reference payload byte-for-byte."""
     import json
+
+    from repro.fleet.service import FleetService
+    from repro.utils.serialization import canonical_json
 
     db = tmp_path / "fleet.db"
     spec = _spec()
-    result = _result(spec)
+    reference = _result(spec)
     with JobStore(db) as store:
         store.enqueue(spec)
-        store.mark_done(spec.run_id, result, tick=1)
-        # Regress the row to the legacy layout by hand.
-        from repro.store import RunQuery
-
-        store.results.prune(RunQuery(run_ids=spec.run_id))
         store._conn.execute(
-            "UPDATE jobs SET result = ? WHERE run_id = ?",
-            (json.dumps(result.to_dict()), spec.run_id),
+            "UPDATE jobs SET status = ?, result = ?, finished_tick = 1"
+            " WHERE run_id = ?",
+            (DONE, json.dumps(reference.to_dict()), spec.run_id),
         )
         store._conn.commit()
-        assert store.results.get(spec.run_id) is None
-        fetched = store.result(spec.run_id)
-        assert fetched == result
-        # the read healed the row into the store ...
-        assert store.results.get_stored(spec.run_id) is not None
-        # ... and blanked the inline copy.
-        row = store._conn.execute(
-            "SELECT result FROM jobs WHERE run_id = ?", (spec.run_id,)
-        ).fetchone()
-        assert row["result"] is None
+        assert store.result(spec.run_id) is None
+        assert store.enqueue(spec, tick=2).status == QUEUED
+        events = [e["event"] for e in store.results.journal_entries(spec.run_id)]
+        assert events == ["enqueue", "heal"]
+    with FleetService(machines=["toronto"], db_path=str(db)) as service:
+        service.submit([spec])
+        service.drain(timeout=120)
+        assert service.store.fetch(spec.run_id).is_done
+        stored = service.store.results.get_stored(spec.run_id)
+        assert stored.payload == canonical_json(reference.result.to_dict())
 
 
 def test_telemetry_rollup_accumulates(tmp_path):

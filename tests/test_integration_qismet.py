@@ -5,15 +5,22 @@ import pytest
 
 from repro.experiments.figures import fig3_t1_transients, fig4_circuit_fidelity
 from repro.experiments.registry import get_app
-from repro.experiments.runner import run_comparison
 from repro.hamiltonians.tfim import tfim_exact_ground_energy
+from repro.runtime import ExperimentPlan, run_plan
+
+
+def _compare(app, schemes, iterations, seed, trace_scale=1.0):
+    plan = ExperimentPlan.single(
+        app, schemes, iterations, seed=seed, trace_scale=trace_scale
+    )
+    return run_plan(plan).comparison(app.name)
 
 
 @pytest.fixture(scope="module")
 def small_comparison():
     """One shared reduced-scale comparison used by several assertions."""
     app = get_app("App2")
-    return run_comparison(
+    return _compare(
         app,
         ["noise-free", "static-only", "baseline", "qismet"],
         iterations=120,
@@ -63,8 +70,8 @@ def test_qismet_skip_rate_bounded(small_comparison):
 
 def test_comparison_is_deterministic():
     app = get_app("App1")
-    a = run_comparison(app, ["baseline"], iterations=30, seed=3)
-    b = run_comparison(app, ["baseline"], iterations=30, seed=3)
+    a = _compare(app, ["baseline"], iterations=30, seed=3)
+    b = _compare(app, ["baseline"], iterations=30, seed=3)
     assert np.allclose(
         a.results["baseline"].machine_energies,
         b.results["baseline"].machine_energies,
@@ -76,7 +83,7 @@ def test_trace_scale_monotonicity():
     app = get_app("App1")
     finals = []
     for scale in (0.0, 3.0):
-        comp = run_comparison(
+        comp = _compare(
             app, ["baseline"], iterations=150, seed=9, trace_scale=scale
         )
         finals.append(comp.results["baseline"].tail_true_energy())

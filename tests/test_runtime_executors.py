@@ -128,31 +128,6 @@ def test_cached_executor_rejects_corrupt_entries(tmp_path):
     assert healed.from_cache
 
 
-def test_cached_executor_serves_legacy_json_dir(tmp_path):
-    """Pre-store caches (one JSON file per run) keep working as hits and
-    are ingested into the store on first touch."""
-    import json
-    import warnings
-
-    cache_dir = tmp_path / "cache"
-    cache_dir.mkdir()
-    spec = PLAN.expand()[0]
-    legacy = execute_run(spec)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy.save(cache_dir / f"{spec.run_id}.json")
-
-    counting = CountingExecutor()
-    cached = CachedExecutor(cache_dir, inner=counting)
-    hit = cached.run_one(spec)
-    assert hit.from_cache and counting.executed == 0
-    assert hit.to_dict()["result"] == legacy.to_dict()["result"]
-    # The legacy entry now lives in the store, tagged as an import.
-    stored = cached.store.get_stored(spec.run_id)
-    assert stored is not None and stored.source == "import"
-    assert json.loads(stored.payload) == legacy.result.to_dict()
-
-
 def test_cached_executor_shares_existing_store(tmp_path):
     from repro.store import ExperimentStore
 
@@ -172,7 +147,7 @@ def test_cached_executor_shares_existing_store(tmp_path):
 def test_executor_for_resolution(monkeypatch, tmp_path):
     from repro.store import ExperimentStore
 
-    for env in ("REPRO_EXECUTOR", "REPRO_CACHE_DIR", "REPRO_STORE", "REPRO_JOBS"):
+    for env in ("REPRO_EXECUTOR", "REPRO_STORE", "REPRO_JOBS"):
         monkeypatch.delenv(env, raising=False)
 
     assert isinstance(executor_for(), SerialExecutor)
@@ -192,9 +167,10 @@ def test_executor_for_resolution(monkeypatch, tmp_path):
     assert cached.store.path == str(tmp_path / "env-store.sqlite")
     cached.close()
 
-    # ... but an explicit cache_dir argument still beats the env knob.
-    cached = executor_for(cache_dir=tmp_path / "dir-cache")
-    assert cached.cache_dir == tmp_path / "dir-cache"
+    # ... and an explicit store argument beats the env knob; a directory
+    # resolves to the store.sqlite inside it.
+    cached = executor_for(store=tmp_path / "dir-store")
+    assert cached.store.path == str(tmp_path / "dir-store" / "store.sqlite")
     cached.close()
 
 
@@ -228,7 +204,7 @@ def test_parallel_single_spec_stays_in_process():
 
 def test_default_executor_env_selection(monkeypatch, tmp_path):
     monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    monkeypatch.delenv("REPRO_STORE", raising=False)
     assert isinstance(executor_for(), SerialExecutor)
 
     monkeypatch.setenv("REPRO_EXECUTOR", "parallel")
@@ -237,10 +213,12 @@ def test_default_executor_env_selection(monkeypatch, tmp_path):
     assert isinstance(executor, ParallelExecutor)
     assert executor.max_workers == 3
 
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setenv("REPRO_STORE", str(tmp_path / "cache"))
     cached = executor_for()
     assert isinstance(cached, CachedExecutor)
     assert isinstance(cached.inner, ParallelExecutor)
+    assert cached.store.path == str(tmp_path / "cache" / "store.sqlite")
+    cached.close()
 
     monkeypatch.setenv("REPRO_EXECUTOR", "bogus")
     with pytest.raises(ValueError):
@@ -250,7 +228,7 @@ def test_default_executor_env_selection(monkeypatch, tmp_path):
 def test_default_executor_fleet_selection(monkeypatch, tmp_path):
     from repro.fleet import FleetExecutor
 
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+    monkeypatch.delenv("REPRO_STORE", raising=False)
     monkeypatch.setenv("REPRO_EXECUTOR", "fleet")
     monkeypatch.setenv("REPRO_FLEET_DB", str(tmp_path / "fleet.db"))
     monkeypatch.setenv("REPRO_FLEET_MACHINES", "toronto,guadalupe")
@@ -262,8 +240,8 @@ def test_default_executor_fleet_selection(monkeypatch, tmp_path):
     finally:
         executor.close()
 
-    # REPRO_CACHE_DIR composes: disk cache in front of the fleet.
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    # REPRO_STORE composes: store-backed cache in front of the fleet.
+    monkeypatch.setenv("REPRO_STORE", str(tmp_path / "cache"))
     cached = executor_for()
     try:
         assert isinstance(cached, CachedExecutor)
@@ -272,19 +250,13 @@ def test_default_executor_fleet_selection(monkeypatch, tmp_path):
         cached.inner.close()
 
 
-def test_run_comparison_shim_accepts_executor(tmp_path):
-    from repro.experiments import get_app, run_comparison
-
+def test_cached_executor_serves_repeated_comparison(tmp_path):
     cached = CachedExecutor(tmp_path / "cache", inner=CountingExecutor())
-    comp = run_comparison(
-        get_app("App1"), ["baseline", "qismet"], iterations=5, seed=6,
-        executor=cached,
-    )
+    plan = ExperimentPlan.single("App1", ["baseline", "qismet"], 5, seed=6)
+    comp = cached.run_plan(plan).comparison("App1")
     assert set(comp.results) == {"baseline", "qismet"}
     assert cached.misses == 2
-    comp2 = run_comparison(
-        get_app("App1"), ["baseline", "qismet"], iterations=5, seed=6,
-        executor=cached,
-    )
+    comp2 = cached.run_plan(plan).comparison("App1")
     assert cached.inner.executed == 2  # second comparison fully cached
     assert comp2.improvements() == comp.improvements()
+    cached.close()

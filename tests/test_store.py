@@ -10,11 +10,11 @@ from repro.store import (
     ExperimentStore,
     RunQuery,
     export_plan_result,
-    export_runs,
     open_store,
     payload_hash,
     resolve_store_path,
 )
+from repro.utils.serialization import save_json
 
 PLAN = ExperimentPlan(
     apps=("App1", "App2"),
@@ -275,8 +275,7 @@ def test_compact_reclaims_orphaned_blobs(store):
 
 def test_import_legacy_plan_result_file(tmp_path, outcome):
     plan_file = tmp_path / "plan-result.json"
-    with pytest.warns(DeprecationWarning):
-        outcome.save(plan_file)
+    save_json(plan_file, outcome.to_dict())
     with ExperimentStore() as store:
         report = store.import_legacy(plan_file)
         assert report == {"ingested": 12, "skipped": 0, "errors": 0}
@@ -328,17 +327,6 @@ def test_export_plan_result_roundtrip(tmp_path, store, outcome):
 
     with pytest.raises(KeyError):
         export_plan_result(store, ["missing-run"], tmp_path / "nope.json")
-
-
-def test_export_runs_writes_per_run_files(tmp_path, store, outcome):
-    written = export_runs(store, RunQuery(apps="App1"), tmp_path / "dump")
-    assert written == 6
-    files = sorted((tmp_path / "dump").glob("*.json"))
-    assert len(files) == 6
-    # an exported directory is itself a valid legacy import source
-    with ExperimentStore() as fresh:
-        report = fresh.import_legacy(tmp_path / "dump")
-        assert report["ingested"] == 6
 
 
 # -- introspection -------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from repro.runtime import ExperimentPlan, SerialExecutor
 from repro.store import ExperimentStore
 from repro.store.cli import main
+from repro.utils.serialization import save_json
 
 PLAN = ExperimentPlan(
     apps=("App1",),
@@ -107,14 +108,10 @@ def test_import_legacy_strict_flag(tmp_path, capsys):
 
 
 def test_import_legacy_ingests_cache_dir(tmp_path, outcome, capsys):
-    import warnings
-
     legacy = tmp_path / "cache"
     legacy.mkdir()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        for run in outcome:
-            run.save(legacy / f"{run.run_id}.json")
+    for run in outcome:
+        save_json(legacy / f"{run.run_id}.json", run.to_dict())
     store = str(tmp_path / "store.sqlite")
     assert main(["--store", store, "--json", "import-legacy", str(legacy)]) == 0
     assert json.loads(capsys.readouterr().out)["ingested"] == 4

@@ -5,10 +5,10 @@ import sqlite3
 
 import pytest
 
-from repro.runtime import CachedExecutor, ExperimentPlan, SerialExecutor
+from repro.runtime import ExperimentPlan, SerialExecutor
 from repro.store import ExperimentStore, RunQuery, SchemaError, payload_hash
 from repro.store.schema import SCHEMA_VERSION, create_v1_store, create_v2_store
-from repro.utils.serialization import canonical_json
+from repro.utils.serialization import canonical_json, save_json
 
 PLAN = ExperimentPlan(
     apps=("App1",),
@@ -169,15 +169,11 @@ def test_future_schema_refused(tmp_path):
 def test_import_legacy_cached_executor_dir(tmp_path):
     """A pre-store CachedExecutor cache directory ingests cleanly and
     dedupes on run_id against runs already stored."""
-    import warnings
-
     cache_dir = tmp_path / "cache"
     cache_dir.mkdir()
     runs = SerialExecutor().run_plan(PLAN).runs
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        for run in runs:
-            run.save(cache_dir / f"{run.run_id}.json")
+    for run in runs:
+        save_json(cache_dir / f"{run.run_id}.json", run.to_dict())
     (cache_dir / "garbage.json").write_text("{not json")
 
     with ExperimentStore() as store:
@@ -196,25 +192,3 @@ def test_import_legacy_cached_executor_dir(tmp_path):
         # pre-seeded run keeps its original source; imports are tagged
         assert store.get_stored(runs[0].run_id).source == "executor"
         assert store.get_stored(runs[1].run_id).source == "import"
-
-
-def test_cached_executor_upgrades_legacy_dir_in_place(tmp_path):
-    """Pointing today's CachedExecutor at a legacy JSON cache directory
-    works without re-execution and grows a store.sqlite alongside."""
-    import warnings
-
-    cache_dir = tmp_path / "cache"
-    cache_dir.mkdir()
-    specs = PLAN.expand()
-    runs = SerialExecutor().run(specs)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        for run in runs:
-            run.save(cache_dir / f"{run.run_id}.json")
-
-    cached = CachedExecutor(cache_dir)
-    out = cached.run(specs)
-    assert all(run.from_cache for run in out)
-    assert (cache_dir / "store.sqlite").exists()
-    assert len(cached.store) == len(specs)
-    cached.close()
